@@ -8,8 +8,8 @@ Algebras are immutable after construction; all operations are pure.
 from __future__ import annotations
 
 from .errors import DimensionError, SingularMapError
-from .linalg import (Matrix, basis_vector, format_vector, in_span, stack,
-                     vec_eq, vec_is_zero, vec_sub, zero_vector)
+from .linalg import (Matrix, basis_vector, format_vector, in_span,
+                     rref_mod_p, stack, vec_eq, vec_sub, zero_vector)
 
 DENSE_DIM_CAP = 16
 
@@ -295,25 +295,78 @@ def vanishes_outside(alg: Algebra, coords) -> bool:
     return True
 
 
+def _prime_left_mul_mats(alg: Algebra):
+    """The algebra read in F_p coordinates (finite fields only).
+
+    Each F_{p^k} coordinate becomes its k coefficients, low first, so the
+    F_p coordinate vector of x has index sum_j x_j p^j equal to the canonical
+    index of x.  Returns (p, mats) with mats[j] the matrix of y -> E_j y for
+    the j-th F_p basis vector E_j, as int rows.  L_x is F_p-singular exactly
+    when it is singular over the scalar field."""
+    field = alg.field
+    p = field.characteristic
+    k = 1
+    while p**k < field.order():
+        k += 1
+    big = alg.dim * k
+    tpow = [field.element_at(p**a) for a in range(k)]   # F_p basis of the field
+    mats = []
+    for i in range(alg.dim):
+        for a in range(k):
+            rows = [[0] * big for _ in range(big)]
+            for b in range(k):
+                s = tpow[a] * tpow[b]
+                for l, prod in enumerate(alg.table[i]):
+                    for m, t in enumerate(prod):
+                        if not t:
+                            continue
+                        idx = field.element_index(s * t)
+                        for d in range(k):
+                            rows[m * k + d][l * k + b] = idx % p
+                            idx //= p
+            mats.append(rows)
+    return p, mats
+
+
+def left_mul_lines(alg: Algebra):
+    """Yield (index, L_x as int rows mod p) for every nonzero x whose highest
+    nonzero F_p coordinate is 1, in increasing canonical index.
+
+    These are the first members of the F_p lines {lambda x}, and L_{lambda x}
+    = lambda L_x, so they stand for every nonzero x.  Raising F_p digit j by
+    1 mod p adds mats[j], so each step of the odometer costs one addition."""
+    p, mats = _prime_left_mul_mats(alg)
+
+    def add(u, v):
+        return [[(a + b) % p for a, b in zip(ru, rv)] for ru, rv in zip(u, v)]
+
+    for h, top in enumerate(mats):
+        lx = top
+        digits = [0] * h
+        for step in range(p**h):
+            if step:
+                j = 0
+                while digits[j] == p - 1:
+                    digits[j] = 0
+                    lx = add(lx, mats[j])
+                    j += 1
+                digits[j] += 1
+                lx = add(lx, mats[j])
+            yield p**h + step, lx
+
+
 def zero_divisor_pairs_count(alg: Algebra) -> int:
     """Number of ordered nonzero pairs multiplying to zero (finite fields,
-    small dimensions only; used by isotopy-invariance checks)."""
+    small dimensions only; used by isotopy-invariance checks): the sum over
+    singular nonzero x of p^(dim ker L_x) - 1, one L_x per F_p line."""
     order = alg.field.order()
     if order is None or order**alg.dim > 2**12:
         raise DimensionError("zero divisor count is capped to tiny algebras")
-    from itertools import product
-    elems = list(alg.field.elements())
+    p = alg.field.characteristic
     count = 0
-    vectors = [list(v) for v in product(elems, repeat=alg.dim)]
-    nonzero = [v for v in vectors if any(v)]
-    for x in nonzero:
-        lx = alg.left_mul_matrix(x)
-        if lx.det():
-            continue
-        for y in nonzero:
-            if vec_is_zero(lx.apply(y)):
-                count += 1
-    return count
+    for _, lx in left_mul_lines(alg):
+        count += p**(len(lx) - len(rref_mod_p(lx, p)[1])) - 1
+    return (p - 1) * count
 
 
 def describe_vector(x) -> str:

@@ -354,3 +354,66 @@ def in_span(basis, vec, field):
     if not vec_eq(m.apply(sol), vec):
         return None
     return sol
+
+
+# -- int-coded F_p matrices (lists of int rows, entries in [0, p)) --
+
+def det_mod_p(rows, p):
+    """Determinant mod p of a square int matrix by Gaussian elimination;
+    `rows` is left unchanged."""
+    rows = list(rows)
+    n = len(rows)
+    det = 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            det = -det
+        piv = rows[c]
+        det = det * piv[c] % p
+        inv = pow(piv[c], -1, p)
+        for i in range(c + 1, n):
+            a = rows[i][c]
+            if a:
+                f = a * inv
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], piv)]
+    return det % p
+
+
+def rref_mod_p(rows, p):
+    """Reduced row echelon form mod p (pivots in column order, scaled to 1);
+    returns (rows, pivot columns) and leaves the input unchanged."""
+    rows = list(rows)
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        piv = rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(nrows):
+            a = rows[i][c]
+            if i != r and a:
+                rows[i] = [(x - a * y) % p for x, y in zip(rows[i], piv)]
+        pivots.append(c)
+        if len(pivots) == nrows:
+            break
+    return rows, pivots
+
+
+def first_kernel_vector_mod_p(rows, p):
+    """The nonzero kernel vector of smallest index sum_j v_j p^j, or None.
+
+    Its highest nonzero coordinate h is the first column that depends on the
+    earlier ones, v_h = 1, and the rest is that dependency."""
+    ncols = len(rows[0])
+    reduced, pivots = rref_mod_p(rows, p)
+    h = next((c for c, pc in enumerate(pivots) if pc != c), len(pivots))
+    if h == ncols:
+        return None
+    return [-reduced[j][h] % p for j in range(h)] + [1] + [0] * (ncols - h - 1)

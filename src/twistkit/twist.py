@@ -14,13 +14,14 @@ import random
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
-from .algebra import Algebra, isotope
+from .algebra import Algebra, isotope, left_mul_lines
 from .builders import make_map
 from .errors import (CapExceeded, DimensionError, HypothesisError,
                      KaplanskiError, SingularMapError)
 from .forms import CERT_UNKNOWN, verify_multiplicative, verify_similarity
-from .linalg import (Matrix, format_vector, in_span, vec_eq, vec_is_zero,
-                     vec_scale, zero_vector)
+from .linalg import (Matrix, det_mod_p, first_kernel_vector_mod_p,
+                     format_vector, in_span, vec_eq, vec_is_zero, vec_scale,
+                     zero_vector)
 
 EXHAUSTIVE_CAP = 2**20
 SCAN_CAP = 2**14
@@ -248,31 +249,30 @@ def vector_at(field, dim, idx):
     return out
 
 
-def all_vectors(field, dim):
-    q = field.order()
-    for idx in range(q**dim):
-        yield vector_at(field, dim, idx)
-
-
 def division_exhaustive(alg: Algebra):
-    """Scan all nonzero pairs over a finite field; returns
+    """Exhaustive zero-divisor search over a finite field; returns
     ("certified", None) or ("zero-divisor", (x, y)) with the
-    lexicographically first witness."""
+    lexicographically first witness of the full pair scan.
+
+    The scan runs on int-coded F_p matrices (an algebra over F_{p^k} is read
+    in F_p coordinates).  It takes one determinant per F_p line, on the
+    first x of the line, so the first singular x is the first one in the
+    canonical order; y is the kernel vector of L_x with the smallest index.
+    The caps are those of the full pair scan."""
     q = alg.field.order()
     if q is None:
         raise DimensionError("exhaustive division check needs a finite field")
     total = q**alg.dim
     if total > EXHAUSTIVE_CAP:
         raise CapExceeded(f"|A| = {total} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
-    for xi in range(1, total):
-        x = vector_at(alg.field, alg.dim, xi)
-        lx = alg.left_mul_matrix(x)
-        if lx.det():
+    p = alg.field.characteristic
+    for xi, lx in left_mul_lines(alg):
+        if det_mod_p(lx, p):
             continue
-        for yi in range(1, total):
-            y = vector_at(alg.field, alg.dim, yi)
-            if vec_is_zero(lx.apply(y)):
-                return ("zero-divisor", (x, y))
+        y = first_kernel_vector_mod_p(lx, p)
+        yi = sum(c * p**j for j, c in enumerate(y))
+        return ("zero-divisor", (vector_at(alg.field, alg.dim, xi),
+                                 vector_at(alg.field, alg.dim, yi)))
     return ("certified", None)
 
 
