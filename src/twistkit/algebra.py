@@ -8,8 +8,9 @@ Algebras are immutable after construction; all operations are pure.
 from __future__ import annotations
 
 from .errors import DimensionError, SingularMapError
-from .linalg import (Matrix, basis_vector, format_vector, in_span,
-                     rref_mod_p, stack, vec_eq, vec_sub, zero_vector)
+from .fields import Scalar
+from .linalg import (Matrix, basis_vector, rref_mod_p, stack, vec_eq, vec_sub,
+                     zero_vector)
 
 DENSE_DIM_CAP = 16
 
@@ -90,22 +91,14 @@ class Algebra:
 
     def left_mul_matrix(self, a) -> Matrix:
         """Matrix of x -> a*x in the fixed basis."""
-        mats = self._basis_mats("left")
-        rows = [[self.field.zero()] * self.dim for _ in range(self.dim)]
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for r in range(self.dim):
-                mrow = mats[i].rows[r]
-                row = rows[r]
-                for cidx in range(self.dim):
-                    if mrow[cidx]:
-                        row[cidx] = row[cidx] + ai * mrow[cidx]
-        return Matrix(self.field, rows)
+        return self._mul_matrix(a, "left")
 
     def right_mul_matrix(self, a) -> Matrix:
         """Matrix of x -> x*a in the fixed basis."""
-        mats = self._basis_mats("right")
+        return self._mul_matrix(a, "right")
+
+    def _mul_matrix(self, a, side):
+        mats = self._basis_mats(side)
         rows = [[self.field.zero()] * self.dim for _ in range(self.dim)]
         for i, ai in enumerate(a):
             if not ai:
@@ -164,6 +157,18 @@ class Algebra:
         if len(parts) != self.dim:
             raise DimensionError(f"expected {self.dim} coordinates, got {len(parts)}")
         return [self.field.parse(p) for p in parts]
+
+    def parse_element(self, val):
+        """An element from a coordinate list, a "[...]" literal, or a scalar
+        (a Scalar, an int or scalar text) read as that multiple of the unit."""
+        if isinstance(val, list):
+            return [self.field.element(v) for v in val]
+        if isinstance(val, (int, Scalar)):
+            return self.scalar_vec(val)
+        text = str(val)
+        if text.startswith("["):
+            return self.element_from_string(text)
+        return self.scalar_vec(self.field.parse(text))
 
 
 def _split_top_level(body):
@@ -261,10 +266,6 @@ def opposite(alg: Algebra) -> Algebra:
     table = [[alg.table[j][i] for j in range(n)] for i in range(n)]
     return Algebra(alg.field, table, unit=alg.unit,
                    label=f"{alg.label}^op" if alg.label else "")
-
-
-def subspace_contains(alg: Algebra, basis, vec) -> bool:
-    return in_span(basis, vec, alg.field) is not None
 
 
 def tensor_eq(a: Algebra, b: Algebra) -> bool:
@@ -368,6 +369,3 @@ def zero_divisor_pairs_count(alg: Algebra) -> int:
         count += p**(len(lx) - len(rref_mod_p(lx, p)[1])) - 1
     return (p - 1) * count
 
-
-def describe_vector(x) -> str:
-    return format_vector(x)

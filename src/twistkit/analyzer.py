@@ -165,16 +165,7 @@ def is_derivation(alg: Algebra, d: Matrix):
 
 def is_automorphism(alg: Algebra, m: Matrix):
     """(ok, witness): invertible and F(e_i e_j) = F(e_i) F(e_j) on all pairs."""
-    if not m.is_invertible():
-        return False, "singular"
-    cols = m.columns()
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = m.apply(alg.table[i][j])
-            rhs = alg.multiply(cols[i], cols[j])
-            if not vec_eq(lhs, rhs):
-                return False, (i, j)
-    return True, None
+    return is_isomorphism(alg, alg, m)
 
 
 def is_isomorphism(src: Algebra, dst: Algebra, m: Matrix):

@@ -15,11 +15,10 @@ import sys
 from .algebra import nucleus
 from .analyzer import derivation_report
 from .builders import make_map
-from .closedforms import (closed_form_inverse, involution_star, scalar_reflections_star,
-                          quaternion_reflections_star, twisted_map_matrix)
+from .closedforms import inverse_check, star_case
 from .errors import SpecError, TwistkitError
 from .fixtures import fixture, fixture_names
-from .linalg import Matrix, format_vector
+from .linalg import format_vector
 from .scenario import (BUNDLED, load_scenario, run_bundle, scenario_run)
 from .serial import (build_from_spec, read_algebra, twist_spec_from_json,
                      write_algebra)
@@ -154,39 +153,15 @@ def cmd_nuclei(args, seed):
 def cmd_verify_closed_form(args, seed):
     alg = _load_algebra(args.algebra)
     doc = {"seed": seed, "algebra": alg.label, "case": args.case}
-    if args.case == "reflections-1":
-        f = make_map(alg, args.f)
-        g = make_map(alg, args.g)
-        cmp = scalar_reflections_star(alg, f, g, alg.field.parse(args.c))
-        doc.update(corrected_matches=cmp.matches,
-                   verbatim_matches=cmp.verbatim_matches,
-                   first_mismatch=cmp.verbatim_mismatch)
-    elif args.case.startswith("involution-"):
-        tau = make_map(alg, args.tau)
-        cmp = involution_star(alg, tau, alg.field.parse(args.c),
-                              args.case.split("-", 1)[1])
-        doc.update(matches=cmp.matches, first_mismatch=cmp.first_mismatch)
-    elif args.case.startswith("assoc-"):
-        f = make_map(alg, args.f)
-        g = make_map(alg, args.g)
-        c = alg.element_from_string(args.c) if args.c.startswith("[") \
-            else alg.scalar_vec(alg.field.parse(args.c))
-        cmp = quaternion_reflections_star(alg, f, g, c, int(args.case.split("-")[1]))
-        doc.update(proper_matches=cmp.matches,
-                   substituted_matches=cmp.substituted_matches,
-                   verbatim_matches=cmp.verbatim_matches)
-    elif args.case.startswith("inverse-"):
-        kind = args.case.split("-", 1)[1]
-        m = make_map(alg, args.f)
-        cval = alg.element_from_string(args.c) if kind == "series" \
-            else alg.field.parse(args.c)
-        inv = closed_form_inverse(alg, kind, cval, m, n=args.n, side=args.side)
-        cvec = cval if isinstance(cval, list) else alg.scalar_vec(cval)
-        fmat = twisted_map_matrix(alg, cvec, args.side, m)
-        doc.update(matches_generic=inv == fmat.inverse(),
-                   composes_to_id=(fmat @ inv) == Matrix.identity(alg.field, alg.dim))
+    maps = {k: make_map(alg, getattr(args, k)) for k in ("f", "g", "tau")
+            if getattr(args, k) is not None}
+    if args.case.startswith("inverse-"):
+        matches, composes = inverse_check(alg, args.case[len("inverse-"):], args.c,
+                                          maps.get("f"), args.n, args.side)
+        doc.update(matches_generic=matches, composes_to_id=composes)
     else:
-        raise SpecError(f"unknown case {args.case!r}")
+        _, fields = star_case(alg, args.case, args.c, **maps)
+        doc.update((k, v) for k, v in fields if k != "c")
     _emit(doc)
     return 0
 
@@ -263,7 +238,7 @@ def main(argv=None):
     p.add_argument("--c", required=True)
     p.add_argument("--f")
     p.add_argument("--g")
-    p.add_argument("--tau", default="conj")
+    p.add_argument("--tau")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--side", default="left", choices=["left", "right"])
 

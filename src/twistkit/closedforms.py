@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, first_tensor_mismatch, tensor_eq
-from .builders import algebra_inverse, is_automorphism_matrix
-from .errors import HypothesisError
+from .builders import algebra_inverse, is_automorphism_matrix, make_map
+from .errors import HypothesisError, SpecError
+from .fields import Scalar
 from .linalg import Matrix, vec_add, vec_scale, vec_sub
 from .twist import TwistSpec, run_twist
 
@@ -103,6 +104,26 @@ def closed_form_inverse(alg: Algebra, kind: str, c, mapping: Matrix,
     if kind == "reflection":
         return reflection_inverse(alg, c, mapping)
     raise HypothesisError(f"unknown closed-form inverse kind {kind!r}")
+
+
+def _scalar(alg, c):
+    if isinstance(c, (int, Scalar)):
+        return alg.field.element(c)
+    return alg.field.parse(str(c))
+
+
+def inverse_check(alg: Algebra, kind: str, c, m: Matrix | None, n: int = 2, side="left"):
+    """The closed-form inverse of x - c m(x) (or x - m(x) c) against the
+    generic matrix inverse: (matches_generic, composes_to_id).  c is an
+    element for the series kind (see Algebra.parse_element), a scalar
+    otherwise."""
+    if m is None:
+        raise SpecError(f"closed-form inverse {kind!r} needs a map")
+    cval = alg.parse_element(c) if kind == "series" else _scalar(alg, c)
+    inv = closed_form_inverse(alg, kind, cval, m, n=n, side=side)
+    cvec = cval if isinstance(cval, list) else alg.scalar_vec(cval)
+    fmat = twisted_map_matrix(alg, cvec, side, m)
+    return inv == fmat.inverse(), (fmat @ inv) == Matrix.identity(alg.field, alg.dim)
 
 
 @dataclass
@@ -251,6 +272,12 @@ def involution_star(alg: Algebra, tau: Matrix, c, case: str) -> StarComparison:
         first_mismatch=first_tensor_mismatch(generic, closed_alg))
 
 
+# odd variant -> (where c sits in the subtracted term, whether the g factor
+# comes first); u and v are the first and second factor of that term
+_REFLECTION_STARS = {1: ("c(uv)", False), 3: ("(uc)v", False), 5: ("(uv)c", False),
+                     7: ("c(uv)", True), 9: ("(uc)v", True), 11: ("(uv)c", True)}
+
+
 def quaternion_reflections_star(alg: Algebra, f: Matrix, g: Matrix, c,
                                 variant: int) -> StarComparison:
     """Two-reflection cases on an associative division algebra with a general
@@ -258,12 +285,18 @@ def quaternion_reflections_star(alg: Algebra, f: Matrix, g: Matrix, c,
     f on x and g on y, with 7/9/11 read as xy - c g(y)f(x), xy - (g(y)c)f(x),
     xy - (g(y)f(x))c).
 
+    Each factor of the subtracted term is inverted by the one-sided series of
+    x - c m(x) when c stands left of it in the term, of x - m(x) c otherwise.
     Three tensors are built: "proper" (the inverse-composition expansion with
     prefactors on the side forced by the one-sided series), "substituted"
-    (the compact reference form with y restored in the y slots), and
-    "verbatim" (the compact reference form including its slot slips).  The
-    generic pipeline is authoritative; the comparison records mismatches of
-    the reference readings instead of failing."""
+    (the compact reference form, which writes every prefactor on the left,
+    with y restored in the y slots), and "verbatim" (the compact reference
+    form including its slot slips).  The generic pipeline is authoritative;
+    the comparison records mismatches of the reference readings instead of
+    failing."""
+    if variant not in _REFLECTION_STARS:
+        raise HypothesisError("variant must be odd, in 1..11")
+    term, g_first = _REFLECTION_STARS[variant]
     cvec = c if isinstance(c, list) else alg.scalar_vec(c)
     mul = alg.multiply
     one_vec = alg.unit
@@ -274,136 +307,61 @@ def quaternion_reflections_star(alg: Algebra, f: Matrix, g: Matrix, c,
             raise HypothesisError("closed-form denominator is not invertible")
         return out
 
-    fc = f.apply(cvec)
-    gc = g.apply(cvec)
-    w1 = inv(vec_sub(one_vec, mul(cvec, fc)))   # (1 - c f(c))^-1
-    w2 = inv(vec_sub(one_vec, mul(fc, cvec)))   # (1 - f(c) c)^-1
-    w3 = inv(vec_sub(one_vec, mul(cvec, gc)))   # (1 - c g(c))^-1
-    w4 = inv(vec_sub(one_vec, mul(gc, cvec)))   # (1 - g(c) c)^-1
+    def series(m, slot):
+        """(prefactor, numerator, left) of the series inverting the factor
+        in `slot` for map m, and of its m-image."""
+        mc = m.apply(cvec)
+        w_cm = inv(vec_sub(one_vec, mul(cvec, mc)))   # (1 - c m(c))^-1
+        w_mc = inv(vec_sub(one_vec, mul(mc, cvec)))   # (1 - m(c) c)^-1
+        if term.index("c") < term.index(slot):
+            return ((w_cm, lambda x: vec_add(x, mul(cvec, m.apply(x))), True),
+                    (w_mc, lambda x: vec_add(m.apply(x), mul(mc, x)), True))
+        return ((w_mc, lambda x: vec_add(x, mul(m.apply(x), cvec)), False),
+                (w_cm, lambda x: vec_add(m.apply(x), mul(x, mc)), False))
 
-    def lf(x):   # w1^-1 (x + c f(x))
-        return mul(w1, vec_add(x, mul(cvec, f.apply(x))))
+    f_ser, f_img = series(f, "v" if g_first else "u")
+    g_ser, g_img = series(g, "u" if g_first else "v")
 
-    def rf(x):   # (x + f(x) c) w2^-1
-        return mul(vec_add(x, mul(f.apply(x), cvec)), w2)
+    def subtracted(u, v):
+        if term == "c(uv)":
+            return mul(cvec, mul(u, v))
+        if term == "(uc)v":
+            return mul(mul(u, cvec), v)
+        return mul(mul(u, v), cvec)
 
-    def lfi(x):  # w2^-1 (f(x) + f(c) x)   [= f of lf(x)]
-        return mul(w2, vec_add(f.apply(x), mul(fc, x)))
+    def star(on_side):
+        def apply(piece, x):
+            pre, num, left = piece
+            return mul(pre, num(x)) if left or not on_side else mul(num(x), pre)
 
-    def rfi(x):  # (f(x) + x f(c)) w1^-1   [= f of rf(x)]
-        return mul(vec_add(f.apply(x), mul(x, fc)), w1)
+        def product(x, y):
+            fi, gi = apply(f_img, x), apply(g_img, y)
+            u, v = (gi, fi) if g_first else (fi, gi)
+            return vec_sub(mul(apply(f_ser, x), apply(g_ser, y)), subtracted(u, v))
+        return product
 
-    def lg(y):
-        return mul(w3, vec_add(y, mul(cvec, g.apply(y))))
-
-    def rg(y):
-        return mul(vec_add(y, mul(g.apply(y), cvec)), w4)
-
-    def lgi(y):
-        return mul(w4, vec_add(g.apply(y), mul(gc, y)))
-
-    def rgi(y):
-        return mul(vec_add(g.apply(y), mul(y, gc)), w3)
-
-    # the compact reference transcriptions use left prefactors everywhere
-    def dl(wvec, num):
-        return mul(wvec, num)
-
-    if variant == 1:
-        def proper(x, y):
-            return vec_sub(mul(lf(x), lg(y)), mul(cvec, mul(lfi(x), lgi(y))))
-
-        def substituted(x, y):
-            t1 = mul(dl(w1, vec_add(x, mul(cvec, f.apply(x)))),
-                     dl(w3, vec_add(y, mul(cvec, g.apply(y)))))
-            t2 = mul(cvec, mul(dl(w2, vec_add(f.apply(x), mul(fc, x))),
-                               dl(w4, vec_add(g.apply(y), mul(gc, y)))))
-            return vec_sub(t1, t2)
-
-        verbatim = substituted
-        spec = TwistSpec(variant=1, c=cvec, f=f, g=g)
-    elif variant == 3:
-        def proper(x, y):
-            return vec_sub(mul(rf(x), lg(y)), mul(mul(rfi(x), cvec), lgi(y)))
-
-        def substituted(x, y):
-            t1 = mul(dl(w2, vec_add(x, mul(f.apply(x), cvec))),
-                     dl(w3, vec_add(y, mul(cvec, g.apply(y)))))
-            t2 = mul(mul(dl(w1, vec_add(f.apply(x), mul(x, fc))), cvec),
-                     dl(w4, vec_add(g.apply(y), mul(gc, y))))
-            return vec_sub(t1, t2)
-
-        verbatim = substituted
-        spec = TwistSpec(variant=3, c=cvec, f=f, g=g)
-    elif variant == 5:
-        def proper(x, y):
-            return vec_sub(mul(rf(x), rg(y)), mul(mul(rfi(x), rgi(y)), cvec))
-
-        def substituted(x, y):
-            t1 = mul(dl(w2, vec_add(x, mul(f.apply(x), cvec))),
-                     dl(w4, vec_add(y, mul(g.apply(y), cvec))))
-            t2 = mul(mul(dl(w1, vec_add(f.apply(x), mul(x, fc))),
-                         dl(w3, vec_add(g.apply(y), mul(y, gc)))), cvec)
-            return vec_sub(t1, t2)
-
-        def verbatim(x, y):
-            return substituted(x, x)
-
-        spec = TwistSpec(variant=5, c=cvec, f=f, g=g)
-    elif variant == 7:
-        def proper(x, y):
-            return vec_sub(mul(lf(x), lg(y)), mul(cvec, mul(lgi(y), lfi(x))))
-
-        def substituted(x, y):
-            t1 = mul(dl(w1, vec_add(x, mul(cvec, f.apply(x)))),
-                     dl(w3, vec_add(y, mul(cvec, g.apply(y)))))
-            t2 = mul(cvec, mul(dl(w4, vec_add(g.apply(y), mul(gc, y))),
-                               dl(w2, vec_add(f.apply(x), mul(fc, x)))))
-            return vec_sub(t1, t2)
-
-        def verbatim(x, y):
-            return substituted(x, x)
-
-        spec = TwistSpec(variant=7, c=cvec, f=g, g=f)
-    elif variant == 9:
-        def proper(x, y):
-            return vec_sub(mul(lf(x), rg(y)), mul(mul(rgi(y), cvec), lfi(x)))
-
-        def substituted(x, y):
-            t1 = mul(dl(w1, vec_add(x, mul(cvec, f.apply(x)))),
-                     dl(w4, vec_add(y, mul(g.apply(y), cvec))))
-            t2 = mul(mul(dl(w3, vec_add(g.apply(y), mul(y, gc))), cvec),
-                     dl(w2, vec_add(f.apply(x), mul(fc, x))))
-            return vec_sub(t1, t2)
-
-        def verbatim(x, y):
-            return substituted(x, x)
-
-        spec = TwistSpec(variant=9, c=cvec, f=g, g=f)
-    elif variant == 11:
-        def proper(x, y):
-            return vec_sub(mul(rf(x), rg(y)), mul(mul(rgi(y), rfi(x)), cvec))
-
-        def substituted(x, y):
-            t1 = mul(dl(w2, vec_add(x, mul(f.apply(x), cvec))),
-                     dl(w4, vec_add(y, mul(g.apply(y), cvec))))
-            t2 = mul(mul(dl(w3, vec_add(g.apply(y), mul(y, gc))),
-                         dl(w1, vec_add(f.apply(x), mul(x, fc)))), cvec)
-            return vec_sub(t1, t2)
+    proper, substituted = star(True), star(False)
+    if variant == 11:
+        fc = f.apply(cvec)
+        (w2, _, _), (w1, _, _) = f_ser, f_img    # (1 - f(c) c)^-1, (1 - c f(c))^-1
+        (w4, _, _), (w3, _, _) = g_ser, g_img    # (1 - g(c) c)^-1, (1 - c g(c))^-1
 
         def verbatim(x, y):
             # this reference form also swaps a prefactor pair and writes f(c)
             # inside the g factor; transcribed as quoted
-            t1 = mul(dl(w1, vec_add(x, mul(cvec, f.apply(x)))),
-                     dl(w4, vec_add(x, mul(g.apply(x), cvec))))
-            t2 = mul(mul(dl(w3, vec_add(g.apply(x), mul(x, fc))),
-                         dl(w2, vec_add(f.apply(x), mul(fc, x)))), cvec)
+            t1 = mul(mul(w1, vec_add(x, mul(cvec, f.apply(x)))),
+                     mul(w4, vec_add(x, mul(g.apply(x), cvec))))
+            t2 = mul(mul(mul(w3, vec_add(g.apply(x), mul(x, fc))),
+                         mul(w2, vec_add(f.apply(x), mul(fc, x)))), cvec)
             return vec_sub(t1, t2)
-
-        spec = TwistSpec(variant=11, c=cvec, f=g, g=f)
+    elif variant in (1, 3):
+        verbatim = substituted
     else:
-        raise HypothesisError("variant must be odd, in 1..11")
+        def verbatim(x, y):
+            return substituted(x, x)
 
+    spec = TwistSpec(variant=variant, c=cvec, f=g, g=f) if g_first else \
+        TwistSpec(variant=variant, c=cvec, f=f, g=g)
     generic = _generic_star(alg, spec)
     closed = _tensor_from(alg, proper, f"assoc-closed-{variant}")
     subst = _tensor_from(alg, substituted, f"assoc-subst-{variant}")
@@ -418,3 +376,34 @@ def quaternion_reflections_star(alg: Algebra, f: Matrix, g: Matrix, c,
     cmp.substituted = subst
     cmp.substituted_matches = tensor_eq(generic, subst)
     return cmp
+
+
+def star_case(alg: Algebra, case: str, c, f: Matrix | None = None,
+              g: Matrix | None = None, tau: Matrix | None = None):
+    """Run a named closed-form star case against the generic pipeline:
+    "reflections-1" (scalar c, maps f and g), "involution-1", "-7.1" or
+    "-7.2" (scalar c, involution tau, conjugation by default) or
+    "assoc-<odd variant>" (element c, maps f and g).
+
+    Returns (comparison, fields): the reported (name, value) pairs in order,
+    the given c for the scalar cases and the first mismatch of the reading
+    those cases report."""
+    kind, _, sub = case.partition("-")
+    if kind == "involution":
+        tau = tau if tau is not None else make_map(alg, "conj")
+        cmp = involution_star(alg, tau, _scalar(alg, c), sub)
+        return cmp, [("case", case), ("c", c), ("matches", cmp.matches),
+                     ("first_mismatch", cmp.first_mismatch)]
+    if case != "reflections-1" and not (kind == "assoc" and sub.isdigit()):
+        raise SpecError(f"unknown closed-form case {case!r}")
+    if f is None or g is None:
+        raise SpecError(f"closed-form case {case!r} needs maps f and g")
+    if kind == "assoc":
+        cmp = quaternion_reflections_star(alg, f, g, alg.parse_element(c), int(sub))
+        return cmp, [("case", case), ("proper_matches", cmp.matches),
+                     ("substituted_matches", cmp.substituted_matches),
+                     ("verbatim_matches", cmp.verbatim_matches)]
+    cmp = scalar_reflections_star(alg, f, g, _scalar(alg, c))
+    return cmp, [("case", case), ("c", c), ("corrected_matches", cmp.matches),
+                 ("verbatim_matches", cmp.verbatim_matches),
+                 ("first_mismatch", cmp.verbatim_mismatch)]

@@ -1,9 +1,8 @@
 """Multiplicative forms of degree d and their verification machinery.
 
 A form is carried either as a Gram matrix (degree 2), as the determinant of a
-left-multiplication representation (degree n), as the determinant of the
-representation over a commutative subfield block (cyclic algebras), or as an
-explicit polynomial evaluator.
+left-multiplication representation (degree n), or as the determinant of the
+representation over a commutative subfield block (cyclic algebras).
 
 Anisotropy is never decided by a general algorithm: it travels as a
 certificate ("positive-definite", "field-norm", "division-certified") and
@@ -16,7 +15,7 @@ import random
 from itertools import combinations, product
 
 from .errors import DimensionError, HypothesisError, SingularMapError
-from .linalg import Matrix, basis_vector, vec_add, zero_vector
+from .linalg import Matrix, basis_vector, vec_add, vector_at, zero_vector
 
 CERT_POSITIVE_DEFINITE = "positive-definite"
 CERT_FIELD_NORM = "field-norm"
@@ -67,10 +66,6 @@ class NormForm:
         return cls(kalg.field, n * n, n, "cyclic", certificate,
                    kalg=kalg, sigma=sigma, d=kalg.field.element(d))
 
-    @classmethod
-    def poly_form(cls, field, dim, degree, func, certificate=CERT_UNKNOWN):
-        return cls(field, dim, degree, "poly", certificate, func=func)
-
     # -- evaluation --
 
     def evaluate(self, x):
@@ -91,8 +86,6 @@ class NormForm:
             return self.data["algebra"].left_mul_matrix(x).det()
         if self.kind == "cyclic":
             return self._cyclic_eval(x)
-        if self.kind == "poly":
-            return self.data["func"](x)
         raise DimensionError(f"unknown form kind {self.kind}")
 
     __call__ = evaluate
@@ -219,20 +212,15 @@ def determining_points(field, dim, degree):
                 v[j] = field.one()
                 pts.append(v)
         return pts
-    for support_size in range(1, min(degree, dim) + 1):
-        for support in combinations(range(dim), support_size):
-            for values in product(range(1, degree + 1), repeat=support_size):
-                v = zero_vector(field, dim)
-                for pos, val in zip(support, values):
-                    v[pos] = field.element(val)
-                pts.append(v)
-    return pts
+    return similarity_grid(field, dim, degree, degree)
 
 
-def similarity_grid(field, dim, degree):
-    """All 0..d-valued coordinate tuples of support <= d+1."""
+def similarity_grid(field, dim, degree, max_support=None):
+    """All vectors with entries in 1..d on a support of size <= max_support
+    (default d+1), zero elsewhere."""
+    max_support = degree + 1 if max_support is None else max_support
     pts = []
-    for support_size in range(1, min(degree + 1, dim) + 1):
+    for support_size in range(1, min(max_support, dim) + 1):
         for support in combinations(range(dim), support_size):
             for values in product(range(1, degree + 1), repeat=support_size):
                 v = zero_vector(field, dim)
@@ -245,12 +233,6 @@ def similarity_grid(field, dim, degree):
 def _random_points(field, dim, count, seed):
     rng = random.Random(seed)
     return [[field.element(rng.randint(-9, 9)) for _ in range(dim)] for _ in range(count)]
-
-
-def _all_vectors(field, dim):
-    elems = list(field.elements())
-    for tup in product(elems, repeat=dim):
-        yield list(tup)
 
 
 def verify_similarity(norm: NormForm, f: Matrix, seed=0):
@@ -279,7 +261,8 @@ def verify_similarity(norm: NormForm, f: Matrix, seed=0):
     if norm.field.order() is not None:
         if norm.field.order() ** norm.dim > EXHAUSTIVE_CAP:
             raise DimensionError("similarity exhaustion cap exceeded")
-        samples = _all_vectors(norm.field, norm.dim)
+        samples = (vector_at(norm.field, norm.dim, i)
+                   for i in range(norm.field.order() ** norm.dim))
     else:
         samples = (similarity_grid(norm.field, norm.dim, norm.degree)
                    + _random_points(norm.field, norm.dim, RANDOM_SAMPLES, seed))
@@ -312,7 +295,7 @@ def verify_multiplicative(alg, norm: NormForm, seed=0) -> bool:
     if alg.field.order() is not None:
         if alg.field.order() ** (2 * alg.dim) > EXHAUSTIVE_CAP:
             raise DimensionError("multiplicativity exhaustion cap exceeded")
-        xs = list(_all_vectors(alg.field, alg.dim))
+        xs = [vector_at(alg.field, alg.dim, i) for i in range(alg.field.order() ** alg.dim)]
         pairs = ((x, y) for x in xs for y in xs)
     else:
         grid = determining_points(alg.field, alg.dim, norm.degree)

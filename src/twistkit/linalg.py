@@ -27,6 +27,18 @@ def basis_vector(field, n, i):
     return v
 
 
+def vector_at(field, dim, idx):
+    """idx-th coordinate vector in the canonical enumeration of a finite
+    field's space: coordinate 0 is the least significant digit, field
+    elements ordered by their index."""
+    q = field.order()
+    out = []
+    for _ in range(dim):
+        out.append(field.element_at(idx % q))
+        idx //= q
+    return out
+
+
 def vec_add(x, y):
     return [a + b for a, b in zip(x, y)]
 

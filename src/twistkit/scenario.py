@@ -18,16 +18,15 @@ from .analyzer import (containment_check, derivation_family, derivations,
                        derivations_fixing, inner_automorphism_family,
                        inner_derivation, is_automorphism, is_derivation)
 from .builders import MapSpec, make_map
-from .closedforms import (closed_form_inverse, involution_star, scalar_reflections_star,
-                          quaternion_reflections_star, twisted_map_matrix)
+from .closedforms import inverse_check, star_case
 from .errors import SpecError, TwistkitError
 from .fields import field_make, field_norm, frobenius
 from .forms import verify_multiplicative, verify_similarity
-from .linalg import Matrix, format_vector
+from .linalg import format_vector
 from .serial import build_from_spec, matrix_from_json
 from .twist import (TwistSpec, commutative_twist, division_exhaustive,
                     division_probe_char0, iff_criterion, norm_criterion,
-                    run_twist, scan_c, CyclicSubfield)
+                    run_twist, scan_c, zero_divisor_text, CyclicSubfield)
 
 
 class ScenarioEnv:
@@ -51,8 +50,23 @@ class ScenarioEnv:
         except KeyError:
             raise SpecError(f"unknown field label {name!r}") from None
 
+    def twist(self, name):
+        try:
+            return self.twists[name]
+        except KeyError:
+            raise SpecError(f"unknown twist label {name!r}") from None
+
+
+class _Step(dict):
+    """A scenario step whose missing keys are spec errors."""
+
+    def __missing__(self, key):
+        raise SpecError(f"step lacks {key!r}")
+
 
 def _fmt(value):
+    if isinstance(value, str):
+        return value
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -64,6 +78,8 @@ def _fmt(value):
 
 def _resolve_map(env, alg, spec):
     if isinstance(spec, str) and spec.startswith("@"):
+        if spec[1:] not in env.maps:
+            raise SpecError(f"unknown map label {spec!r}")
         return env.maps[spec[1:]]
     if isinstance(spec, dict) and "matrix" in spec and spec.get("map") is None:
         return matrix_from_json(alg.field, spec["matrix"])
@@ -71,33 +87,16 @@ def _resolve_map(env, alg, spec):
     return make_map(alg, spec)
 
 
-def _resolve_vec(alg, val):
-    if isinstance(val, list):
-        return [alg.field.element(v) for v in val]
-    text = str(val)
-    if text.startswith("["):
-        return alg.element_from_string(text)
-    return alg.scalar_vec(alg.field.parse(text))
-
-
-def _division_str(status, witness):
-    if status == "certified":
-        return "certified"
-    x, y = witness
-    return f"zero-divisor({format_vector(x)};{format_vector(y)})"
-
-
 def _expect(step, key, computed, failures, idx):
     if key in step:
-        want = step[key]
-        want_s = _fmt(want) if not isinstance(want, str) else want
-        got_s = _fmt(computed) if not isinstance(computed, str) else computed
+        want_s, got_s = _fmt(step[key]), _fmt(computed)
         if want_s != got_s:
             failures.append(f"FAIL [{idx:02d}] {step['op']}.{key}: "
                             f"expected {want_s} got {got_s}")
 
 
 def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
+    step = _Step(step)
     op = step["op"]
     env.ops_covered.add(op)
     out = [f"[{idx:02d}] {op}"]
@@ -135,12 +134,13 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         _expect(step, "expect_dim", alg.dim, failures, idx)
     elif op == "multiply":
         alg = env.algebra(step["algebra"])
-        val = alg.multiply(_resolve_vec(alg, step["x"]), _resolve_vec(alg, step["y"]))
+        val = alg.multiply(alg.parse_element(step["x"]),
+                           alg.parse_element(step["y"]))
         out.append(f"-> {format_vector(val)}")
         _expect(step, "expect", val, failures, idx)
     elif op == "mul-matrix":
         alg = env.algebra(step["algebra"])
-        a = _resolve_vec(alg, step["a"])
+        a = alg.parse_element(step["a"])
         m = alg.left_mul_matrix(a) if step.get("side", "left") == "left" \
             else alg.right_mul_matrix(a)
         if "label" in step:
@@ -154,13 +154,14 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         _expect(step, "expect", val, failures, idx)
     elif op == "commutator":
         alg = env.algebra(step["algebra"])
-        val = commutator(alg, _resolve_vec(alg, step["x"]), _resolve_vec(alg, step["y"]))
+        val = commutator(alg, alg.parse_element(step["x"]),
+                         alg.parse_element(step["y"]))
         out.append(f"-> {format_vector(val)}")
         _expect(step, "expect", val, failures, idx)
     elif op == "associator":
         alg = env.algebra(step["algebra"])
-        val = associator(alg, _resolve_vec(alg, step["x"]),
-                         _resolve_vec(alg, step["y"]), _resolve_vec(alg, step["z"]))
+        val = associator(alg, alg.parse_element(step["x"]),
+                         alg.parse_element(step["y"]), alg.parse_element(step["z"]))
         out.append(f"-> {format_vector(val)}")
         _expect(step, "expect", val, failures, idx)
     elif op == "nucleus":
@@ -187,12 +188,12 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         _expect(step, "expect", val, failures, idx)
     elif op == "norm-eval":
         alg = env.algebra(step["algebra"])
-        val = alg.norm.evaluate(_resolve_vec(alg, step["x"]))
+        val = alg.norm.evaluate(alg.parse_element(step["x"]))
         out.append(f"-> {val!r}")
         _expect(step, "expect", val, failures, idx)
     elif op == "polarize":
         alg = env.algebra(step["algebra"])
-        vs = [_resolve_vec(alg, v) for v in step["vectors"]]
+        vs = [alg.parse_element(v) for v in step["vectors"]]
         val = alg.norm.polarize(*vs)
         out.append(f"-> {val!r}")
         _expect(step, "expect", val, failures, idx)
@@ -216,7 +217,7 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         alg = env.algebra(step["algebra"])
         spec = TwistSpec(
             variant=int(step.get("variant", 1)),
-            c=_resolve_vec(alg, step["c"]),
+            c=alg.parse_element(step["c"]),
             f=_resolve_map(env, alg, step["f"]),
             g=_resolve_map(env, alg, step["g"]),
             h=_resolve_map(env, alg, step["h"]) if step.get("h") else None)
@@ -231,17 +232,17 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         _expect(step, "expect_division", result.division_status, failures, idx)
         _expect(step, "expect_criterion", result.criterion.verdict, failures, idx)
     elif op == "criterion":
-        result = env.twists[step["twist"]]
+        result = env.twist(step["twist"])
         alg = result.source
         crit = norm_criterion(alg, result.spec, seed=env.seed)
         out.append(f"-> {crit.verdict} threshold={_fmt(crit.threshold)} "
                    f"N(c)={_fmt(crit.norm_of_c)}")
         _expect(step, "expect", crit.verdict, failures, idx)
     elif op == "iff-criterion":
-        result = env.twists[step["twist"]]
+        result = env.twist(step["twist"])
         alg = result.source
-        sf = step["subfield"]
-        basis = [_resolve_vec(alg, b) for b in sf["basis"]]
+        sf = _Step(step["subfield"])
+        basis = [alg.parse_element(b) for b in sf["basis"]]
         sig = sf["sigma"]
         if isinstance(sig, dict) and "matrix" in sig:
             sigma = matrix_from_json(alg.field, sig["matrix"])
@@ -253,7 +254,7 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         out.append(f"-> {val}")
         _expect(step, "expect", val, failures, idx)
     elif op == "unitalize":
-        result = env.twists[step["twist"]]
+        result = env.twist(step["twist"])
         if result.star is None:
             raise SpecError(f"twist {step['twist']} has no star: {result.kaplanski_note}")
         env.algebras[step["label"]] = result.star
@@ -262,7 +263,7 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
     elif op == "division":
         alg = env.algebra(step["algebra"])
         status, witness = division_exhaustive(alg)
-        text = _division_str(status, witness)
+        text = status if status == "certified" else zero_divisor_text(witness)
         out.append(f"-> {text}")
         _expect(step, "expect", text, failures, idx)
     elif op == "probe":
@@ -283,9 +284,9 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         alg = env.algebra(step["algebra"])
         sigma = _resolve_map(env, alg, step.get("sigma", "frob:1"))
         rep = commutative_twist(alg, sigma, int(step["s"]), int(step["t"]),
-                                _resolve_vec(alg, step["a"]),
-                                _resolve_vec(alg, step["b"]),
-                                _resolve_vec(alg, step["c"]))
+                                alg.parse_element(step["a"]),
+                                alg.parse_element(step["b"]),
+                                alg.parse_element(step["c"]))
         out.append(f"commutative={_fmt(rep.commutative)} "
                    f"shortcut_matches={_fmt(rep.closed_form_matches)} "
                    f"division={rep.division_status} "
@@ -295,65 +296,28 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         _expect(step, "expect_division", rep.division_status, failures, idx)
     elif op == "closed-form-inverse":
         alg = env.algebra(step["algebra"])
-        m = _resolve_map(env, alg, step["map"])
-        c = step["c"]
         side = step.get("side", "left")
-        kind = step["kind"]
-        if kind == "series":
-            cval = _resolve_vec(alg, c)
-        else:
-            cval = alg.field.parse(str(c))
-        inv = closed_form_inverse(alg, kind, cval, m, n=int(step.get("n", 2)),
-                                  side=side)
-        cvec = cval if isinstance(cval, list) else alg.scalar_vec(cval)
-        fmat = twisted_map_matrix(alg, cvec, side, m)
-        agree = inv == fmat.inverse()
-        composed = (fmat @ inv) == Matrix.identity(alg.field, alg.dim)
-        out.append(f"kind={kind} side={side} matches_generic={_fmt(agree)} "
+        agree, composed = inverse_check(alg, step["kind"], step["c"],
+                                        _resolve_map(env, alg, step["map"]),
+                                        int(step.get("n", 2)), side)
+        out.append(f"kind={step['kind']} side={side} matches_generic={_fmt(agree)} "
                    f"composes_to_id={_fmt(composed)}")
         _expect(step, "expect_match", agree, failures, idx)
     elif op == "closed-form-star":
         alg = env.algebra(step["algebra"])
-        case = step["case"]
-        if case == "reflections-1":
-            f = _resolve_map(env, alg, step["f"])
-            g = _resolve_map(env, alg, step["g"])
-            cmp = scalar_reflections_star(alg, f, g, alg.field.parse(str(step["c"])))
-            spot = step.get("spot")
-            if spot:
-                i, j = spot
-                out.append(
-                    f"case={case} c={step['c']} corrected_matches={_fmt(cmp.matches)} "
-                    f"verbatim_matches={_fmt(cmp.verbatim_matches)} "
-                    f"generic[{i},{j}]={format_vector(cmp.generic.table[i][j])} "
-                    f"verbatim[{i},{j}]={format_vector(cmp.closed_verbatim.table[i][j])}")
-                _expect(step, "expect_verbatim_spot",
-                        cmp.closed_verbatim.table[i][j], failures, idx)
-                _expect(step, "expect_generic_spot",
-                        cmp.generic.table[i][j], failures, idx)
-            else:
-                out.append(f"case={case} c={step['c']} "
-                           f"corrected_matches={_fmt(cmp.matches)} "
-                           f"verbatim_matches={_fmt(cmp.verbatim_matches)}")
-            _expect(step, "expect_match", cmp.matches, failures, idx)
-        elif case.startswith("involution-"):
-            tau = _resolve_map(env, alg, step.get("tau", "conj"))
-            cmp = involution_star(alg, tau, alg.field.parse(str(step["c"])),
-                                  case.split("-", 1)[1])
-            out.append(f"case={case} c={step['c']} matches={_fmt(cmp.matches)}")
-            _expect(step, "expect_match", cmp.matches, failures, idx)
-        elif case.startswith("assoc-"):
-            f = _resolve_map(env, alg, step["f"])
-            g = _resolve_map(env, alg, step["g"])
-            cmp = quaternion_reflections_star(alg, f, g,
-                                              _resolve_vec(alg, step["c"]),
-                                              int(case.split("-")[1]))
-            out.append(f"case={case} proper_matches={_fmt(cmp.matches)} "
-                       f"substituted_matches={_fmt(cmp.substituted_matches)} "
-                       f"verbatim_matches={_fmt(cmp.verbatim_matches)}")
-            _expect(step, "expect_match", cmp.matches, failures, idx)
-        else:
-            raise SpecError(f"unknown closed-form case {case!r}")
+        maps = {k: _resolve_map(env, alg, step[k]) for k in ("f", "g", "tau") if k in step}
+        cmp, fields = star_case(alg, step["case"], step["c"], **maps)
+        out.extend(f"{k}={_fmt(v)}" for k, v in fields if k != "first_mismatch")
+        if step.get("spot"):
+            if cmp.closed_verbatim is None:
+                raise SpecError(f"case {step['case']!r} has no verbatim reading to spot")
+            i, j = step["spot"]
+            gen, verb = cmp.generic.table[i][j], cmp.closed_verbatim.table[i][j]
+            out.append(f"generic[{i},{j}]={format_vector(gen)} "
+                       f"verbatim[{i},{j}]={format_vector(verb)}")
+            _expect(step, "expect_verbatim_spot", verb, failures, idx)
+            _expect(step, "expect_generic_spot", gen, failures, idx)
+        _expect(step, "expect_match", cmp.matches, failures, idx)
     elif op == "derivations":
         alg = env.algebra(step["algebra"])
         space = derivations(alg)
@@ -361,7 +325,7 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         _expect(step, "expect_dim", space.dim, failures, idx)
     elif op == "derivations-fixing":
         alg = env.algebra(step["algebra"])
-        space = derivations_fixing(alg, _resolve_vec(alg, step["c"]))
+        space = derivations_fixing(alg, alg.parse_element(step["c"]))
         out.append(f"dim={space.dim}")
         _expect(step, "expect_dim", space.dim, failures, idx)
     elif op == "is-automorphism":
@@ -378,7 +342,7 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         _expect(step, "expect", ok, failures, idx)
     elif op == "inner-derivation":
         alg = env.algebra(step["algebra"])
-        m = inner_derivation(alg, _resolve_vec(alg, step["a"]))
+        m = inner_derivation(alg, alg.parse_element(step["a"]))
         env.maps[step["label"]] = m
         out.append(f"label={step['label']}")
     elif op == "containment":
@@ -386,7 +350,7 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         source = env.algebra(step["source"])
         f = _resolve_map(env, source, step["f"]) if step.get("f") else None
         g = _resolve_map(env, source, step["g"]) if step.get("g") else None
-        c = _resolve_vec(source, step["c"]) if step.get("c") else None
+        c = source.parse_element(step["c"]) if step.get("c") else None
         if step["family"] == "inner-sample":
             fam = inner_automorphism_family(source, fixtures.INNER_SAMPLE_H,
                                             f=f, g=g, c=c)
@@ -428,12 +392,13 @@ def scenario_run(scenario: dict, seed=0, env: ScenarioEnv | None = None):
         try:
             run_step(env, step, idx, lines, failures)
         except TwistkitError as exc:
+            op = step.get("op")
             if step.get("expect_error"):
-                lines.append(f"[{idx:02d}] {step['op']} error={exc}")
-                env.ops_covered.add(step["op"])
+                lines.append(f"[{idx:02d}] {op} error={exc}")
+                env.ops_covered.add(op)
             else:
-                failures.append(f"FAIL [{idx:02d}] {step['op']}: error {exc}")
-                lines.append(f"[{idx:02d}] {step['op']} error={exc}")
+                failures.append(f"FAIL [{idx:02d}] {op}: error {exc}")
+                lines.append(f"[{idx:02d}] {op} error={exc}")
     lines.extend(failures)
     ok = not failures
     lines.append(f"result={'ok' if ok else 'fail'} steps={len(scenario.get('steps', []))} "

@@ -18,12 +18,12 @@ from .algebra import Algebra, isotope, left_mul_lines
 from .builders import make_map
 from .errors import (CapExceeded, DimensionError, HypothesisError,
                      KaplanskiError, SingularMapError)
-from .forms import CERT_UNKNOWN, verify_multiplicative, verify_similarity
+from .forms import (CERT_UNKNOWN, EXHAUSTIVE_CAP, verify_multiplicative,
+                    verify_similarity)
 from .linalg import (Matrix, det_mod_p, first_kernel_vector_mod_p,
                      format_vector, in_span, vec_eq, vec_is_zero, vec_scale,
-                     zero_vector)
+                     vector_at, zero_vector)
 
-EXHAUSTIVE_CAP = 2**20
 SCAN_CAP = 2**14
 
 GUARANTEED = "guaranteed"
@@ -238,17 +238,6 @@ def unitalize(circ: Algebra, a, b) -> Algebra:
     return Algebra(circ.field, table, unit=unit, label=label)
 
 
-def vector_at(field, dim, idx):
-    """idx-th coordinate vector in the canonical enumeration: coordinate 0 is
-    the least significant digit, field elements ordered by their index."""
-    q = field.order()
-    out = []
-    for _ in range(dim):
-        out.append(field.element_at(idx % q))
-        idx //= q
-    return out
-
-
 def division_exhaustive(alg: Algebra):
     """Exhaustive zero-divisor search over a finite field; returns
     ("certified", None) or ("zero-divisor", (x, y)) with the
@@ -276,6 +265,12 @@ def division_exhaustive(alg: Algebra):
     return ("certified", None)
 
 
+def zero_divisor_text(witness) -> str:
+    """The report form of a zero-divisor witness (x, y) with xy = 0."""
+    x, y = witness
+    return f"zero-divisor({format_vector(x)};{format_vector(y)})"
+
+
 @dataclass
 class ProbeReport:
     status: str                 # "no-counterexample" | "zero-divisor"
@@ -286,8 +281,7 @@ class ProbeReport:
     def describe(self) -> str:
         if self.status == "no-counterexample":
             return f"no-counterexample({self.trials})"
-        x, y = self.witness
-        return f"zero-divisor({format_vector(x)};{format_vector(y)})"
+        return zero_divisor_text(self.witness)
 
 
 def division_probe_char0(alg: Algebra, trials: int, seed=0) -> ProbeReport:
@@ -334,11 +328,8 @@ class ScanRecord:
 
     def line(self) -> str:
         nc = repr(self.norm_of_c) if self.norm_of_c is not None else "?"
-        if self.status == "division":
-            status = "division"
-        else:
-            x, y = self.witness
-            status = f"zero-divisor({format_vector(x)};{format_vector(y)})"
+        status = "division" if self.status == "division" else \
+            zero_divisor_text(self.witness)
         return (f"c={format_vector(self.c)} N(c)={nc} "
                 f"status={status} criterion={self.criterion}")
 
@@ -530,15 +521,11 @@ def twist_spec_from_parts(alg: Algebra, variant, c, f_spec, g_spec,
                           h_spec=None, kaplanski=None) -> TwistSpec:
     """Assemble a TwistSpec from map descriptors (MapSpec inputs) and a c
     given as a vector, a coordinate string, or a base-field scalar."""
-    if isinstance(c, str):
-        c = alg.element_from_string(c) if c.startswith("[") else \
-            alg.scalar_vec(alg.field.parse(c))
-    elif isinstance(c, (int,)) or hasattr(c, "payload"):
-        c = alg.scalar_vec(c)
+    c = alg.parse_element(c)
     f = f_spec if isinstance(f_spec, Matrix) else make_map(alg, f_spec)
     g = g_spec if isinstance(g_spec, Matrix) else make_map(alg, g_spec)
     h = None
     if h_spec is not None:
         h = h_spec if isinstance(h_spec, Matrix) else make_map(alg, h_spec)
-    return TwistSpec(variant=int(variant), c=list(c), f=f, g=g, h=h,
+    return TwistSpec(variant=int(variant), c=c, f=f, g=g, h=h,
                      kaplanski=kaplanski)

@@ -3,8 +3,7 @@ kept as the reference for the differential tests: every nonzero x in the
 canonical order, det L_x over the scalar field, then every y until L_x y = 0.
 """
 
-from twistkit.linalg import format_vector, vec_is_zero
-from twistkit.twist import vector_at
+from twistkit.linalg import format_vector, vec_is_zero, vector_at
 
 
 def reference_division_exhaustive(alg):

@@ -1,5 +1,7 @@
 """Closed-form inverses and star products against the generic pipeline."""
 
+import hashlib
+
 import pytest
 
 from twistkit.algebra import tensor_eq
@@ -9,8 +11,8 @@ from twistkit.closedforms import (closed_form_inverse, involution_inverse,
                                   involution_star, scalar_reflections_star,
                                   quaternion_reflections_star,
                                   reflection_inverse, series_inverse,
-                                  twisted_map_matrix)
-from twistkit.errors import HypothesisError
+                                  star_case, twisted_map_matrix)
+from twistkit.errors import HypothesisError, SpecError
 from twistkit.linalg import Matrix, format_vector
 from twistkit.twist import TwistSpec, run_twist
 
@@ -161,3 +163,39 @@ def test_scaled_product_isotope_isomorphism(H):
     phi = Matrix.identity(H.field, 4) - f.scale(c)
     ok, witness = is_isomorphism(H, star, phi)
     assert ok, witness
+
+
+def test_assoc_reflections_tables_pinned(H):
+    # sha256 of the proper, substituted and verbatim tables, flags and
+    # mismatch positions of 54 cases: any change to one of the three
+    # readings of any variant changes it
+    maps = {"inner": ("inner:[0,1,0,0]", "inner:[0,0,1,0]"),
+            "reflection": ("reflection:[0,1,0,0]", "reflection:[0,0,1,0]"),
+            "inner+conj": ("inner:[1,1,0,0]", "conj")}
+    digest = hashlib.sha256()
+    for name, (fs, gs) in maps.items():
+        f, g = make_map(H, fs), make_map(H, gs)
+        for cs in ("[1,2,0,0]", "[1,1,1,0]", "[2,0,1,1]"):
+            c = H.element_from_string(cs)
+            for v in (1, 3, 5, 7, 9, 11):
+                cmp = quaternion_reflections_star(H, f, g, c, v)
+                rows = [f"{name} {cs} {v} {cmp.matches} {cmp.substituted_matches} "
+                        f"{cmp.verbatim_matches} {cmp.first_mismatch} "
+                        f"{cmp.verbatim_mismatch}"]
+                for alg in (cmp.closed, cmp.substituted, cmp.closed_verbatim):
+                    rows.append(";".join(format_vector(cell)
+                                         for row in alg.table for cell in row))
+                digest.update(("\n".join(rows) + "\n").encode())
+    assert digest.hexdigest() == \
+        "d839c86fa46213dd87e9e56b6942239f74bccc5f55bd5aa234a175fc45d9233b"
+
+
+def test_star_case_spec_errors(H):
+    fi = make_map(H, "inner:[0,1,0,0]")
+    for case in ("bogus", "assoc-x", "reflections-2"):
+        with pytest.raises(SpecError, match="unknown closed-form case"):
+            star_case(H, case, "2", f=fi, g=fi)
+    with pytest.raises(SpecError, match="needs maps f and g"):
+        star_case(H, "assoc-1", "[1,2,0,0]", f=fi)
+    with pytest.raises(HypothesisError, match="unknown involution case"):
+        star_case(H, "involution-9", "2")

@@ -15,8 +15,8 @@ from twistkit.builders import (cayley_dickson, extension_as_algebra,
                                ground_algebra, make_map, standard_involution)
 from twistkit.fields import ExtensionField, PrimeField
 from twistkit.linalg import (Matrix, det_mod_p, first_kernel_vector_mod_p,
-                             rref_mod_p)
-from twistkit.twist import TwistSpec, division_exhaustive, twist, vector_at
+                             rref_mod_p, vector_at)
+from twistkit.twist import TwistSpec, division_exhaustive, twist
 
 twist_mod = importlib.import_module("twistkit.twist")
 

@@ -8,8 +8,8 @@ from reference_division import (reference_division_exhaustive,
 from twistkit.algebra import Algebra, zero_divisor_pairs_count
 from twistkit.fields import PrimeField
 from twistkit.linalg import (Matrix, det_mod_p, first_kernel_vector_mod_p,
-                             rref_mod_p)
-from twistkit.twist import division_exhaustive, vector_at
+                             rref_mod_p, vector_at)
+from twistkit.twist import division_exhaustive
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

@@ -7,11 +7,11 @@ from twistkit.builders import extension_as_algebra, make_map
 from twistkit.errors import CapExceeded, HypothesisError, KaplanskiError
 from twistkit.fields import ExtensionField, PrimeField
 from twistkit.fixtures import split_qq
-from twistkit.linalg import Matrix, vec_eq, vec_is_zero, vec_scale
+from twistkit.linalg import Matrix, vec_eq, vec_is_zero, vec_scale, vector_at
 from twistkit.twist import (CyclicSubfield, TwistSpec, commutative_twist,
                             division_exhaustive, division_probe_char0,
                             iff_criterion, norm_criterion, run_twist, scan_c,
-                            twist, unitalize, vector_at)
+                            twist, unitalize)
 
 
 def frob_spec(alg, variant, c, s=1, t=1):

@@ -5,6 +5,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from twistkit.cli import main
 from twistkit.scenario import (BUNDLED, REQUIRED_OPS, run_bundle, scenario_run)
 
 
@@ -112,3 +115,80 @@ def test_bundled_scenario_names_stable():
         "reflection-star-oracle", "involution-star-oracle",
         "twist-containment", "subalgebra-kaplanski", "commutative-twist",
     }
+
+
+@pytest.mark.parametrize("step, fail_line", [
+    ({"op": "multiply", "algebra": "H", "x": "[0,1,0,0]"},
+     "FAIL [02] multiply: error step lacks 'y'"),
+    ({"op": "similarity", "algebra": "H", "map": "@nope", "expect": "1"},
+     "FAIL [02] similarity: error unknown map label '@nope'"),
+    ({"op": "criterion", "twist": "T9", "expect": "guaranteed"},
+     "FAIL [02] criterion: error unknown twist label 'T9'"),
+    ({"algebra": "H"}, "FAIL [02] None: error step lacks 'op'"),
+], ids=["missing-key", "unknown-map", "unknown-twist", "missing-op"])
+def test_scenario_spec_errors_are_fail_lines(step, fail_line):
+    scen = {"name": "spec-error",
+            "steps": [{"op": "build", "label": "H", "spec": {"fixture": "H"}}, step]}
+    report, ok, _ = scenario_run(scen, seed=0)
+    assert not ok
+    assert fail_line in report.splitlines()
+
+
+FI, GJ = "inner:[0,1,0,0]", "inner:[0,0,1,0]"
+RI, RJ = "reflection:[0,1,0,0]", "reflection:[0,0,1,0]"
+T, F = True, False
+# the exact stdout of verify-closed-form for each case family, pinned as the
+# documents it prints (sorted keys, indent 1)
+CLOSED_FORM_GOLDEN = [
+    ("H", "reflections-1", ["--c", "2", "--f", FI, "--g", GJ],
+     {"corrected_matches": T, "first_mismatch": [0, 0], "verbatim_matches": F}),
+    ("H", "reflections-1", ["--c", "3", "--f", RI, "--g", RJ],
+     {"corrected_matches": T, "first_mismatch": [0, 0], "verbatim_matches": F}),
+    ("H", "assoc-1", ["--c", "[1,2,0,0]", "--f", FI, "--g", GJ],
+     {"proper_matches": T, "substituted_matches": T, "verbatim_matches": T}),
+    ("H", "assoc-3", ["--c", "[1,2,0,0]", "--f", FI, "--g", GJ],
+     {"proper_matches": T, "substituted_matches": F, "verbatim_matches": F}),
+    ("H", "assoc-5", ["--c", "[1,2,0,0]", "--f", FI, "--g", GJ],
+     {"proper_matches": T, "substituted_matches": F, "verbatim_matches": F}),
+    ("H", "assoc-7", ["--c", "[1,2,0,0]", "--f", FI, "--g", GJ],
+     {"proper_matches": T, "substituted_matches": T, "verbatim_matches": F}),
+    ("H", "assoc-9", ["--c", "[1,2,0,0]", "--f", FI, "--g", GJ],
+     {"proper_matches": T, "substituted_matches": T, "verbatim_matches": F}),
+    ("H", "assoc-11", ["--c", "[1,2,0,0]", "--f", FI, "--g", GJ],
+     {"proper_matches": T, "substituted_matches": F, "verbatim_matches": F}),
+    ("H", "assoc-3", ["--c", "2", "--f", FI, "--g", GJ],
+     {"proper_matches": T, "substituted_matches": T, "verbatim_matches": T}),
+    ("H", "involution-1", ["--c", "2"], {"first_mismatch": None, "matches": T}),
+    ("H", "involution-7.1", ["--c", "1/2"], {"first_mismatch": None, "matches": T}),
+    ("H", "involution-7.2", ["--c", "-3"], {"first_mismatch": None, "matches": T}),
+    ("O", "involution-1", ["--c", "2"], {"first_mismatch": None, "matches": T}),
+    ("O", "involution-7.1", ["--c", "2"], {"first_mismatch": None, "matches": T}),
+    ("O", "involution-7.2", ["--c", "3"], {"first_mismatch": None, "matches": T}),
+    ("H", "inverse-involution", ["--c", "2", "--f", "conj"],
+     {"composes_to_id": T, "matches_generic": T}),
+    ("H", "inverse-reflection", ["--c", "2", "--f", RI, "--side", "right"],
+     {"composes_to_id": T, "matches_generic": T}),
+    ("cyclicQ", "inverse-series",
+     ["--c", "[0,1,0,0]", "--f", GJ, "--n", "2", "--side", "left"],
+     {"composes_to_id": T, "matches_generic": T}),
+    ("cyclicQ", "inverse-series",
+     ["--c", "[0,1,0,0]", "--f", GJ, "--n", "2", "--side", "right"],
+     {"composes_to_id": T, "matches_generic": T}),
+]
+
+
+@pytest.mark.parametrize("alg, case, extra, fields", CLOSED_FORM_GOLDEN,
+                         ids=[f"{a}-{c}-{i}" for i, (a, c, _, _) in
+                              enumerate(CLOSED_FORM_GOLDEN)])
+def test_cli_verify_closed_form_golden(alg, case, extra, fields, capsys):
+    code = main(["verify-closed-form", "--algebra", alg, "--case", case, *extra])
+    doc = {"seed": 0, "algebra": alg, "case": case, **fields}
+    assert code == 0
+    assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def test_cli_verify_closed_form_unknown_case(capsys):
+    assert main(["verify-closed-form", "--algebra", "H", "--case", "bogus",
+                 "--c", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unknown closed-form case 'bogus'" in out.err
