@@ -9,11 +9,13 @@ Frobenius powers, inner automorphisms, reflections, explicit matrices).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
-from .algebra import Algebra, vanishes_outside
+from .algebra import Algebra, opposite, vanishes_outside
+from .analyzer import is_automorphism, is_isomorphism
 from .errors import (FieldConstructionError, HypothesisError,
-                     SingularMapError)
+                     SingularMapError, SpecError)
 from .fields import ExtensionField, PrimeField, RationalField
 from .forms import (CERT_FIELD_NORM, CERT_POSITIVE_DEFINITE, CERT_UNKNOWN,
                     NormForm, is_positive_definite)
@@ -178,7 +180,7 @@ def cyclic_algebra(kalg: Algebra, sigma: Matrix, d, certificate=CERT_UNKNOWN,
     d = field.element(d)
     if not d:
         raise HypothesisError("structure scalar d must be nonzero")
-    ok, witness = is_automorphism_matrix(kalg, sigma)
+    ok, witness = is_automorphism(kalg, sigma)
     if not ok:
         raise HypothesisError(f"sigma is not an automorphism of K; witness {witness}")
     sig_pows = [Matrix.identity(field, n)]
@@ -249,11 +251,13 @@ class MapSpec:
         text = str(obj)
         if ":" in text:
             head, arg = text.split(":", 1)
-            if head == "frob":
-                return cls(kind="frobenius", k=int(arg))
-            if head in ("inner", "reflection"):
-                import json
-                return cls(kind=head, q=json.loads(arg))
+            try:
+                if head == "frob":
+                    return cls(kind="frobenius", k=int(arg))
+                if head in ("inner", "reflection"):
+                    return cls(kind=head, q=json.loads(arg))
+            except ValueError as exc:
+                raise SpecError(f"bad map argument in {text!r}: {exc}") from None
             raise HypothesisError(f"unknown map shorthand {text!r}")
         if text in ("id", "identity"):
             return cls(kind="identity")
@@ -287,18 +291,6 @@ def algebra_inverse(alg: Algebra, q):
     return sol
 
 
-def is_automorphism_matrix(alg: Algebra, m: Matrix):
-    """(ok, witness): exact check F(e_i e_j) = F(e_i) F(e_j) on basis pairs."""
-    cols = m.columns()
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = m.apply(alg.table[i][j])
-            rhs = alg.multiply(cols[i], cols[j])
-            if not vec_eq(lhs, rhs):
-                return False, (i, j)
-    return True, None
-
-
 def make_map(alg: Algebra, spec) -> Matrix:
     """Build and verify the requested map as an exact matrix.
 
@@ -314,13 +306,10 @@ def make_map(alg: Algebra, spec) -> Matrix:
         m = standard_involution(alg)
         if m @ m != Matrix.identity(field, n):
             raise HypothesisError("conjugation is not of period 2")
-        for i in range(n):
-            for j in range(n):
-                lhs = m.apply(alg.table[i][j])
-                rhs = alg.multiply(m.column(j), m.column(i))
-                if not vec_eq(lhs, rhs):
-                    raise HypothesisError(
-                        f"conjugation is not an anti-automorphism at pair {(i, j)}")
+        ok, witness = is_isomorphism(alg, opposite(alg), m)
+        if not ok:
+            raise HypothesisError(
+                f"conjugation is not an anti-automorphism at pair {witness}")
         return m
     if spec.kind == "frobenius":
         if field.characteristic == 0:
@@ -337,7 +326,7 @@ def make_map(alg: Algebra, spec) -> Matrix:
         m = Matrix.identity(field, n)
         for _ in range(spec.k % _frobenius_order(alg, m1)):
             m = m1 @ m
-        ok, witness = is_automorphism_matrix(alg, m)
+        ok, witness = is_automorphism(alg, m)
         if not ok:
             raise HypothesisError(f"frobenius power fails at basis pair {witness}")
         return m
@@ -347,7 +336,7 @@ def make_map(alg: Algebra, spec) -> Matrix:
         if qinv is None:
             raise SingularMapError("inner map parameter is not invertible")
         m = alg.right_mul_matrix(qinv) @ alg.left_mul_matrix(q)
-        ok, witness = is_automorphism_matrix(alg, m)
+        ok, witness = is_automorphism(alg, m)
         if not ok:
             raise HypothesisError(f"x -> (q x) q^-1 is not an automorphism; "
                                   f"witness basis pair {witness}")

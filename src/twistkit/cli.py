@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 on a failed expected-result assertion, 2 on
-usage/spec errors.  All randomness comes from --seed (default 0, overridable
-via TWISTKIT_SEED); the seed is recorded in every report.
+usage/spec errors.  --seed (default 0, overridable via TWISTKIT_SEED) drives
+only the char-0 division probe; it is recorded in every report.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def main(argv=None):
         prog="twistkit",
         description="exact construction and analysis of twisted division algebras")
     parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("TWISTKIT_SEED", "0")))
+                        default=os.environ.get("TWISTKIT_SEED", "0"))
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("build", help="build an algebra from a builder spec file")

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, first_tensor_mismatch, tensor_eq
-from .builders import algebra_inverse, is_automorphism_matrix, make_map
+from .analyzer import is_automorphism
+from .builders import algebra_inverse, make_map
 from .errors import HypothesisError, SpecError
 from .fields import Scalar
 from .linalg import Matrix, vec_add, vec_scale, vec_sub
@@ -85,7 +86,7 @@ def involution_inverse(alg: Algebra, c, tau: Matrix) -> Matrix:
 def reflection_inverse(alg: Algebra, c, h: Matrix) -> Matrix:
     """Inverse of F(x) = x - c h(x) for a reflection h (automorphism with
     h^2 = id) and scalar c with c^2 != 1: (1 - c^2)^-1 (x + c h(x))."""
-    ok, witness = is_automorphism_matrix(alg, h)
+    ok, witness = is_automorphism(alg, h)
     if not ok:
         raise HypothesisError(f"h is not an automorphism; witness {witness}")
     if h @ h != Matrix.identity(alg.field, alg.dim):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FieldConstructionError, MixedFieldError
+from .errors import FieldConstructionError, MixedFieldError, SpecError
 
 PRIME_CAP = 2**31
 EXT_DEGREE_MIN = 2
@@ -242,7 +242,14 @@ class ScalarField:
     def one(self):
         return self.element(1)
 
-    # subclasses implement element/_add/_neg/_mul/_inv/format/parse
+    # subclasses implement element/_add/_neg/_mul/_inv/format/_parse
+
+    def parse(self, text):
+        """An element from its textual (or JSON) encoding."""
+        try:
+            return self._parse(text)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise SpecError(f"bad {self!r} literal {text!r}") from None
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -277,7 +284,7 @@ class RationalField(ScalarField):
         f = a.payload
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
-    def parse(self, text):
+    def _parse(self, text):
         return Scalar(self, Fraction(str(text)))
 
     def __eq__(self, other):
@@ -335,7 +342,7 @@ class PrimeField(ScalarField):
     def format(self, a) -> str:
         return str(a.payload)
 
-    def parse(self, text):
+    def _parse(self, text):
         return self.element(int(text))
 
     def __eq__(self, other):
@@ -437,12 +444,12 @@ class ExtensionField(ScalarField):
     def format(self, a) -> str:
         return "[" + ",".join(str(c) for c in a.payload) + "]"
 
-    def parse(self, text):
+    def _parse(self, text):
         if isinstance(text, (list, tuple)):
             return self.element(list(text))
         body = str(text).strip()
         if not (body.startswith("[") and body.endswith("]")):
-            raise FieldConstructionError(f"bad extension element {text!r}")
+            raise ValueError("not a [...] literal")
         return self.element([int(c) for c in body[1:-1].split(",")])
 
     def __eq__(self, other):

@@ -4,6 +4,10 @@ A form is carried either as a Gram matrix (degree 2), as the determinant of a
 left-multiplication representation (degree n), or as the determinant of the
 representation over a commutative subfield block (cyclic algebras).
 
+Multiplicativity and similarity are proved, never sampled: on the points of
+determining_points, on all of F^n where those do not fix the form, or (degree
+2, char != 2) through the Gram matrix.
+
 Anisotropy is never decided by a general algorithm: it travels as a
 certificate ("positive-definite", "field-norm", "division-certified") and
 absent a certificate downstream division guarantees are refused.
@@ -11,7 +15,6 @@ absent a certificate downstream division guarantees are refused.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations, product
 
 from .errors import DimensionError, HypothesisError, SingularMapError
@@ -23,7 +26,6 @@ CERT_DIVISION = "division-certified"
 CERT_UNKNOWN = "unknown"
 
 EXHAUSTIVE_CAP = 2**20
-RANDOM_SAMPLES = 100
 
 
 class NormForm:
@@ -192,37 +194,25 @@ def _det_over_ring(kalg, rows):
     return acc
 
 
-# -- deterministic evaluation grids over Q --
+# -- the points every norm check walks --
 
 def determining_points(field, dim, degree):
-    """Integer points whose values pin down a degree-d form exactly.
+    """Points whose values pin down a degree-d form on F^dim, or None.
 
-    Degree 2: e_i and e_i + e_j (diagonal plus polarization).  Higher degree:
-    all vectors of support <= d with nonzero entries in 1..d (grid
-    interpolation determines a polynomial of degree <= d per variable).
+    Every vector of support <= d with nonzero entries in 1..d; for d <= 2
+    only the entry 1, which leaves e_i and e_i + e_j (diagonal plus
+    polarization) and settles every coefficient in every field.  For d > 2
+    the form restricted to a support S has degree <= d in each variable, so
+    its values on {0..d}^S fix it when char is 0 or > d (cf. Alon,
+    Combinatorial Nullstellensatz, 1999).  None when 0 < char <= d and d > 2.
     """
+    if degree > 2 and 0 < field.characteristic <= degree:
+        return None
+    top = degree if degree > 2 else 1
     pts = []
-    if degree == 2:
-        for i in range(dim):
-            pts.append(basis_vector(field, dim, i))
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                v = zero_vector(field, dim)
-                v[i] = field.one()
-                v[j] = field.one()
-                pts.append(v)
-        return pts
-    return similarity_grid(field, dim, degree, degree)
-
-
-def similarity_grid(field, dim, degree, max_support=None):
-    """All vectors with entries in 1..d on a support of size <= max_support
-    (default d+1), zero elsewhere."""
-    max_support = degree + 1 if max_support is None else max_support
-    pts = []
-    for support_size in range(1, min(max_support, dim) + 1):
+    for support_size in range(1, min(degree, dim) + 1):
         for support in combinations(range(dim), support_size):
-            for values in product(range(1, degree + 1), repeat=support_size):
+            for values in product(range(1, top + 1), repeat=support_size):
                 v = zero_vector(field, dim)
                 for pos, val in zip(support, values):
                     v[pos] = field.element(val)
@@ -230,17 +220,25 @@ def similarity_grid(field, dim, degree, max_support=None):
     return pts
 
 
-def _random_points(field, dim, count, seed):
-    rng = random.Random(seed)
-    return [[field.element(rng.randint(-9, 9)) for _ in range(dim)] for _ in range(count)]
+def _check_points(field, dim, degree, power, what):
+    """The points a check walks: determining_points, or every vector of
+    F^dim when they do not determine the form.  A check makes points**power
+    evaluations, capped at EXHAUSTIVE_CAP."""
+    pts = determining_points(field, dim, degree)
+    count = len(pts) if pts is not None else field.order() ** dim
+    if count ** power > EXHAUSTIVE_CAP:
+        raise DimensionError(f"{what} exhaustion cap exceeded")
+    if pts is None:
+        return (vector_at(field, dim, i) for i in range(count))
+    return pts
 
 
-def verify_similarity(norm: NormForm, f: Matrix, seed=0):
+def verify_similarity(norm: NormForm, f: Matrix):
     """Exact similarity factor a with N(f(x)) = a N(x) for all x, or None.
 
-    Degree 2 (char != 2): checked on Gram matrices, F^T G F = a G.  Degree-n
-    forms: exhaustive over finite fields; over Q checked on the deterministic
-    grid plus seeded random integer points.
+    Degree 2 (char != 2): checked on Gram matrices, F^T G F = a G.  Otherwise
+    on the points of _check_points: N o f - a N is a degree-d form, so it
+    vanishes everywhere once it vanishes there.
     """
     if not f.is_invertible():
         raise SingularMapError("similarity candidate is singular")
@@ -258,17 +256,9 @@ def verify_similarity(norm: NormForm, f: Matrix, seed=0):
         if alpha is None:
             return None
         return alpha if m == g.scale(alpha) else None
-    if norm.field.order() is not None:
-        if norm.field.order() ** norm.dim > EXHAUSTIVE_CAP:
-            raise DimensionError("similarity exhaustion cap exceeded")
-        samples = (vector_at(norm.field, norm.dim, i)
-                   for i in range(norm.field.order() ** norm.dim))
-    else:
-        samples = (similarity_grid(norm.field, norm.dim, norm.degree)
-                   + _random_points(norm.field, norm.dim, RANDOM_SAMPLES, seed))
     alpha = None
     pending = []
-    for x in samples:
+    for x in _check_points(norm.field, norm.dim, norm.degree, 1, "similarity"):
         nx = norm.evaluate(x)
         nfx = norm.evaluate(f.apply(x))
         if not nx:
@@ -287,24 +277,17 @@ def verify_similarity(norm: NormForm, f: Matrix, seed=0):
     return alpha
 
 
-def verify_multiplicative(alg, norm: NormForm, seed=0) -> bool:
-    """Exact check of N(xy) = N(x) N(y): exhaustive over finite fields,
-    deterministic grid pairs plus seeded random pairs over Q."""
+def verify_multiplicative(alg, norm: NormForm) -> bool:
+    """Exact check of N(xy) = N(x) N(y) on all pairs of the points of
+    _check_points: for fixed y both sides are degree-d forms in x, and for
+    fixed x in y."""
     if alg.dim != norm.dim or alg.field != norm.field:
         raise DimensionError("norm does not match the algebra")
-    if alg.field.order() is not None:
-        if alg.field.order() ** (2 * alg.dim) > EXHAUSTIVE_CAP:
-            raise DimensionError("multiplicativity exhaustion cap exceeded")
-        xs = [vector_at(alg.field, alg.dim, i) for i in range(alg.field.order() ** alg.dim)]
-        pairs = ((x, y) for x in xs for y in xs)
-    else:
-        grid = determining_points(alg.field, alg.dim, norm.degree)
-        rng_pts = _random_points(alg.field, alg.dim, 2 * RANDOM_SAMPLES, seed)
-        pairs = [(x, y) for x in grid for y in grid]
-        pairs += [(rng_pts[2 * i], rng_pts[2 * i + 1]) for i in range(RANDOM_SAMPLES)]
-    for x, y in pairs:
-        if norm.evaluate(alg.multiply(x, y)) != norm.evaluate(x) * norm.evaluate(y):
-            return False
+    pts = list(_check_points(alg.field, alg.dim, norm.degree, 2, "multiplicativity"))
+    for x in pts:
+        for y in pts:
+            if norm.evaluate(alg.multiply(x, y)) != norm.evaluate(x) * norm.evaluate(y):
+                return False
     return True
 
 

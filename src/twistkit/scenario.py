@@ -10,6 +10,7 @@ text, byte-identical across runs for a fixed seed.
 from __future__ import annotations
 
 import json
+import operator
 
 from . import fixtures
 from .algebra import (associator, commutator, nucleus, opposite, isotope,
@@ -108,7 +109,13 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
     elif op == "field-arith":
         fld = env.field(step["field"])
         a, b = fld.parse(step["a"]), fld.parse(step["b"])
-        val = {"add": a + b, "sub": a - b, "mul": a * b, "div": a / b}[step["operation"]]
+        arith = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+                 "div": operator.truediv}.get(step["operation"])
+        if arith is None:
+            raise SpecError(f"unknown field-arith operation {step['operation']!r}")
+        if arith is operator.truediv and not b:
+            raise SpecError(f"division by zero in {fld!r}")
+        val = arith(a, b)
         out.append(f"{step['operation']} -> {val!r}")
         _expect(step, "expect", val, failures, idx)
     elif op == "frobenius":
@@ -200,12 +207,12 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
     elif op == "similarity":
         alg = env.algebra(step["algebra"])
         m = _resolve_map(env, alg, step["map"])
-        val = verify_similarity(alg.norm, m, seed=env.seed)
+        val = verify_similarity(alg.norm, m)
         out.append(f"-> {_fmt(val)}")
         _expect(step, "expect", val, failures, idx)
     elif op == "multiplicative":
         alg = env.algebra(step["algebra"])
-        val = verify_multiplicative(alg, alg.norm, seed=env.seed)
+        val = verify_multiplicative(alg, alg.norm)
         out.append(f"-> {_fmt(val)}")
         _expect(step, "expect", val, failures, idx)
     elif op == "map":
@@ -234,7 +241,7 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
     elif op == "criterion":
         result = env.twist(step["twist"])
         alg = result.source
-        crit = norm_criterion(alg, result.spec, seed=env.seed)
+        crit = norm_criterion(alg, result.spec)
         out.append(f"-> {crit.verdict} threshold={_fmt(crit.threshold)} "
                    f"N(c)={_fmt(crit.norm_of_c)}")
         _expect(step, "expect", crit.verdict, failures, idx)
@@ -250,7 +257,7 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
             sigma = _resolve_map(env, alg, sig)
         sub = CyclicSubfield(basis=basis, sigma=sigma, degree=int(sf["degree"]),
                              s=int(sf["s"]), t=int(sf["t"]))
-        val = iff_criterion(alg, result.spec, sub, seed=env.seed)
+        val = iff_criterion(alg, result.spec, sub)
         out.append(f"-> {val}")
         _expect(step, "expect", val, failures, idx)
     elif op == "unitalize":

@@ -31,22 +31,12 @@ def scalar_to_json(x):
     return list(x.payload)
 
 
-def scalar_from_json(field, obj):
-    if isinstance(field, RationalField):
-        return field.parse(obj)
-    if isinstance(field, PrimeField):
-        return field.element(int(obj))
-    if isinstance(obj, (list, tuple)):
-        return field.element(list(obj))
-    return field.parse(obj)
-
-
 def vector_to_json(v):
     return [scalar_to_json(x) for x in v]
 
 
 def vector_from_json(field, obj):
-    return [scalar_from_json(field, x) for x in obj]
+    return [field.parse(x) for x in obj]
 
 
 def matrix_to_json(m: Matrix):
@@ -90,7 +80,7 @@ def norm_from_json(alg: Algebra, obj):
                  for row in obj["ktable"]]
         kalg = Algebra(alg.field, table, unit=vector_from_json(alg.field, obj["kunit"]))
         sigma = matrix_from_json(alg.field, obj["sigma"])
-        return NormForm.cyclic_form(kalg, sigma, scalar_from_json(alg.field, obj["d"]),
+        return NormForm.cyclic_form(kalg, sigma, alg.field.parse(obj["d"]),
                                     certificate=cert)
     raise SpecError(f"unknown norm kind {kind!r}")
 

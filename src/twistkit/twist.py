@@ -101,14 +101,14 @@ def twist(alg: Algebra, spec: TwistSpec) -> Algebra:
     return Algebra(alg.field, table, label=label)
 
 
-def ensure_multiplicative(alg: Algebra, seed=0) -> bool:
+def ensure_multiplicative(alg: Algebra) -> bool:
     """Verify (once, cached on the form) that the attached norm is
     multiplicative for the algebra."""
     if alg.norm is None:
         return False
     cached = getattr(alg.norm, "_mult_verified", None)
     if cached is None:
-        cached = verify_multiplicative(alg, alg.norm, seed=seed)
+        cached = verify_multiplicative(alg, alg.norm)
         alg.norm._mult_verified = cached
     return cached
 
@@ -122,14 +122,14 @@ class CriterionReport:
     reason: str = ""
 
 
-def norm_criterion(alg: Algebra, spec: TwistSpec, seed=0) -> CriterionReport:
+def norm_criterion(alg: Algebra, spec: TwistSpec) -> CriterionReport:
     """Division guarantee: anisotropic multiplicative N and
     N(c) != 1/(alpha beta d d1 d2 d3), absent maps contributing factor 1."""
     if alg.norm is None:
         return CriterionReport(INAPPLICABLE, reason="no norm attached")
     if alg.norm.certificate == CERT_UNKNOWN:
         return CriterionReport(INAPPLICABLE, reason="no anisotropy certificate")
-    if not ensure_multiplicative(alg, seed=seed):
+    if not ensure_multiplicative(alg):
         return CriterionReport(INAPPLICABLE, reason="norm is not multiplicative")
     factors = {}
     named = [("alpha", spec.f), ("beta", spec.g)]
@@ -139,7 +139,7 @@ def norm_criterion(alg: Algebra, spec: TwistSpec, seed=0) -> CriterionReport:
         named += [(f"d{i+1}", m) for i, m in enumerate(spec.pre_isotope)]
     prod = alg.field.one()
     for name, m in named:
-        a = verify_similarity(alg.norm, m, seed=seed)
+        a = verify_similarity(alg.norm, m)
         if a is None:
             return CriterionReport(INAPPLICABLE, factors=factors,
                                    reason=f"{name} is not a verified similarity")
@@ -164,12 +164,12 @@ class CyclicSubfield:
     t: int
 
 
-def iff_criterion(alg: Algebra, spec: TwistSpec, sub: CyclicSubfield, seed=0):
+def iff_criterion(alg: Algebra, spec: TwistSpec, sub: CyclicSubfield):
     """Exact biconditional: with c in K, f|_K = a sigma^s, g|_K = b sigma^t
     and s or t prime to the degree, the twist is division iff
     N(c) != 1/(alpha beta).  Returns "division" | "not-division" |
     "inapplicable"."""
-    base = norm_criterion(alg, spec, seed=seed)
+    base = norm_criterion(alg, spec)
     if base.verdict == INAPPLICABLE:
         return INAPPLICABLE
     if gcd(sub.s, sub.degree) != 1 and gcd(sub.t, sub.degree) != 1:
@@ -371,7 +371,7 @@ def scan_c(alg: Algebra, variant: int, f: Matrix, g: Matrix, seed=0,
         spec = TwistSpec(variant=variant, c=c, f=f, g=g)
         circ = twist(alg, spec)
         status, witness = division_exhaustive(circ)
-        crit = norm_criterion(alg, spec, seed=seed)
+        crit = norm_criterion(alg, spec)
         nc = crit.norm_of_c
         if nc is None and alg.norm is not None:
             nc = alg.norm.evaluate(c)
@@ -404,7 +404,7 @@ def run_twist(alg: Algebra, spec: TwistSpec, probe_trials=0, seed=0,
     """Twist, certify, unitalize; transports any zero-divisor witness through
     the Kaplanski bijections and re-verifies it on (A,*)."""
     circ = twist(alg, spec)
-    crit = norm_criterion(alg, spec, seed=seed)
+    crit = norm_criterion(alg, spec)
     witness = None
     if alg.field.order() is not None and alg.field.order()**alg.dim <= EXHAUSTIVE_CAP:
         status, witness = division_exhaustive(circ)

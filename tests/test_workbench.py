@@ -109,6 +109,26 @@ def test_cli_seed_env_override():
     assert "seed=7" in proc.stdout.splitlines()[0]
 
 
+@pytest.mark.parametrize("args, env_extra", [
+    (["twist", "--algebra", "H", "--c", "[1,x,0,0]", "--f", "id", "--g", "id"], None),
+    (["twist", "--algebra", "H", "--c", "[1,0,0,0]", "--f", "inner:[0,0", "--g", "id"], None),
+    (["scan", "--algebra", "F4", "--f", "frob:1", "--g", "frob:1"], {"TWISTKIT_SEED": "x"}),
+], ids=["bad-c", "bad-map-json", "bad-seed"])
+def test_cli_bad_input_exits_2(args, env_extra):
+    proc = run_cli(*args, env_extra=env_extra)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_bad_scalar_in_algebra_file_exits_2(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field": {"kind": "rational"}, "dim": 1,
+                                "table": [[["1/0"]]], "unit": None, "label": "bad"}))
+    proc = run_cli("check-division", "--algebra", str(path))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_bundled_scenario_names_stable():
     assert set(BUNDLED) == {
         "albert-f9", "albert-f27", "albert-f4", "hurwitz-structure",
@@ -125,10 +145,22 @@ def test_bundled_scenario_names_stable():
     ({"op": "criterion", "twist": "T9", "expect": "guaranteed"},
      "FAIL [02] criterion: error unknown twist label 'T9'"),
     ({"algebra": "H"}, "FAIL [02] None: error step lacks 'op'"),
-], ids=["missing-key", "unknown-map", "unknown-twist", "missing-op"])
+    # a list holds the steps that follow a field K = F_5
+    ([{"op": "field-arith", "field": "K", "a": "1", "b": "0", "operation": "add",
+       "expect": "2"}], "FAIL [03] field-arith.expect: expected 2 got 1"),
+    ([{"op": "field-arith", "field": "K", "a": "1", "b": "0", "operation": "div"}],
+     "FAIL [03] field-arith: error division by zero in F_5"),
+    ([{"op": "field-arith", "field": "K", "a": "1", "b": "2", "operation": "pow"}],
+     "FAIL [03] field-arith: error unknown field-arith operation 'pow'"),
+], ids=["missing-key", "unknown-map", "unknown-twist", "missing-op",
+        "add-zero", "div-zero", "unknown-arith"])
 def test_scenario_spec_errors_are_fail_lines(step, fail_line):
+    if isinstance(step, dict):
+        step = [step]
+    else:
+        step = [{"op": "field", "label": "K", "spec": {"kind": "prime", "p": 5}}] + step
     scen = {"name": "spec-error",
-            "steps": [{"op": "build", "label": "H", "spec": {"fixture": "H"}}, step]}
+            "steps": [{"op": "build", "label": "H", "spec": {"fixture": "H"}}] + step}
     report, ok, _ = scenario_run(scen, seed=0)
     assert not ok
     assert fail_line in report.splitlines()
