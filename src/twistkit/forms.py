@@ -280,13 +280,14 @@ def verify_similarity(norm: NormForm, f: Matrix):
 def verify_multiplicative(alg, norm: NormForm) -> bool:
     """Exact check of N(xy) = N(x) N(y) on all pairs of the points of
     _check_points: for fixed y both sides are degree-d forms in x, and for
-    fixed x in y."""
+    fixed x in y.  N is evaluated once per point and once per pair."""
     if alg.dim != norm.dim or alg.field != norm.field:
         raise DimensionError("norm does not match the algebra")
     pts = list(_check_points(alg.field, alg.dim, norm.degree, 2, "multiplicativity"))
-    for x in pts:
-        for y in pts:
-            if norm.evaluate(alg.multiply(x, y)) != norm.evaluate(x) * norm.evaluate(y):
+    norms = [norm.evaluate(x) for x in pts]
+    for x, nx in zip(pts, norms):
+        for y, ny in zip(pts, norms):
+            if norm.evaluate(alg.multiply(x, y)) != nx * ny:
                 return False
     return True
 

@@ -101,6 +101,8 @@ def algebra_from_json(obj: dict) -> Algebra:
         field = field_make(obj["field"])
         table = [[vector_from_json(field, cell) for cell in row]
                  for row in obj["table"]]
+        if obj.get("dim", len(table)) != len(table):
+            raise SpecError(f"declared dim {obj['dim']} but the table has dim {len(table)}")
         unit = vector_from_json(field, obj["unit"]) if obj.get("unit") else None
         alg = Algebra(field, table, unit=unit, label=obj.get("label", ""))
         alg.norm = norm_from_json(alg, obj.get("norm"))

@@ -17,7 +17,7 @@ from math import gcd
 from .algebra import Algebra, isotope, left_mul_lines
 from .builders import make_map
 from .errors import (CapExceeded, DimensionError, HypothesisError,
-                     KaplanskiError, SingularMapError)
+                     KaplanskiError, MixedFieldError, SingularMapError)
 from .forms import (CERT_UNKNOWN, EXHAUSTIVE_CAP, verify_multiplicative,
                     verify_similarity)
 from .linalg import (Matrix, det_mod_p, first_kernel_vector_mod_p,
@@ -48,6 +48,26 @@ class TwistSpec:
             raise DimensionError(f"variant must be 1..12, got {self.variant}")
 
 
+# The subtracted term of variants k and k + 6 (see twist()); m is the product.
+_BRACKETINGS = (
+    lambda m, h, c, p, q: m(c, h(m(p, q))),
+    lambda m, h, c, p, q: h(m(m(c, p), q)),
+    lambda m, h, c, p, q: m(h(m(p, c)), q),
+    lambda m, h, c, p, q: h(m(p, m(c, q))),
+    lambda m, h, c, p, q: h(m(m(p, q), c)),
+    lambda m, h, c, p, q: h(m(p, m(q, c))),
+)
+
+
+def _raw(field):
+    """(lift, zero, reduce) on `field`: int payloads reduced mod p after each
+    product on F_p, Fraction payloads on Q, the Scalars themselves on F_{p^k}."""
+    if field.kind == "ext":
+        return (lambda s: s), field.zero(), (lambda v: v)
+    p = field.characteristic
+    return (lambda s: s.payload), 0, (lambda v: [a % p for a in v]) if p else (lambda v: v)
+
+
 def twist(alg: Algebra, spec: TwistSpec) -> Algebra:
     """Structure tensor of the twisted product x o y.
 
@@ -58,45 +78,52 @@ def twist(alg: Algebra, spec: TwistSpec) -> Algebra:
       4/10: xy - h(p (c q))   5/11: xy - h((p q) c)   6/12: xy - h(p (q c))
 
     With a pre-isotope (h1,h2,h3) all products are taken in A^(h1,h2,h3).
+    It runs on raw scalars (see _raw), lowered to Scalars once per entry.
     """
     base = alg
     if spec.pre_isotope is not None:
         h1, h2, h3 = spec.pre_isotope
         base = isotope(alg, h1, h2, h3)
-    for name, m in (("f", spec.f), ("g", spec.g)):
-        if not m.is_invertible():
+    for name, m in (("f", spec.f), ("g", spec.g), ("h", spec.h)):
+        if m is not None and not m.is_invertible():
             raise SingularMapError(f"twist map {name} is singular")
-    if spec.h is not None and not spec.h.is_invertible():
-        raise SingularMapError("twist map h is singular")
     n = alg.dim
     if len(spec.c) != n:
         raise DimensionError("twist element has wrong length")
-    c = [alg.field.element(v) for v in spec.c]
-    fcols = spec.f.columns()
-    gcols = spec.g.columns()
-    happly = spec.h.apply if spec.h is not None else (lambda v: v)
-    mul = base.multiply
-    swap = spec.variant > 6
-    shape = (spec.variant - 1) % 6 + 1
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            dot = mul(base.basis(i), base.basis(j))
-            p = fcols[j] if swap else fcols[i]
-            q = gcols[i] if swap else gcols[j]
-            if shape == 1:
-                sub = mul(c, happly(mul(p, q)))
-            elif shape == 2:
-                sub = happly(mul(mul(c, p), q))
-            elif shape == 3:
-                sub = mul(happly(mul(p, c)), q)
-            elif shape == 4:
-                sub = happly(mul(p, mul(c, q)))
-            elif shape == 5:
-                sub = happly(mul(mul(p, q), c))
-            else:
-                sub = happly(mul(p, mul(q, c)))
-            table[i][j] = [a - b for a, b in zip(dot, sub)]
+    lift, zero, reduce = _raw(alg.field)
+    c = [lift(alg.field.element(v)) for v in spec.c]
+    for m in (spec.f, spec.g, spec.h):
+        if m is not None and m.field != alg.field:
+            raise MixedFieldError("twist map is over another field")
+        if m is not None and m.nrows != n:
+            raise DimensionError("twist map has wrong size")
+    fcols, gcols = ([[lift(a) for a in col] for col in m.columns()] for m in (spec.f, spec.g))
+    hrows = None if spec.h is None else [[lift(a) for a in row] for row in spec.h.rows]
+    consts = [[[(k, lift(t)) for k, t in enumerate(cell) if t] for cell in row]
+              for row in base.table]
+
+    def mul(x, y):
+        out = [zero] * n
+        for xi, row in zip(x, consts):
+            if xi:
+                for yj, cell in zip(y, row):
+                    if yj:
+                        s = xi * yj
+                        for k, t in cell:
+                            out[k] += s * t
+        return reduce(out)
+
+    def happly(v):
+        if hrows is None:
+            return v
+        return reduce([sum((a * b for a, b in zip(row, v)), zero) for row in hrows])
+
+    def entry(i, j):
+        p, q = (fcols[j], gcols[i]) if spec.variant > 6 else (fcols[i], gcols[j])
+        sub = _BRACKETINGS[(spec.variant - 1) % 6](mul, happly, c, p, q)
+        return [alg.field.element(lift(a) - b) for a, b in zip(base.table[i][j], sub)]
+
+    table = [[entry(i, j) for j in range(n)] for i in range(n)]
     label = f"({alg.label},o{spec.variant})" if alg.label else ""
     return Algebra(alg.field, table, label=label)
 

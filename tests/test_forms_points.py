@@ -134,6 +134,18 @@ def test_cubic_number_field_over_q():
     assert verify_similarity(alg.norm, shear(q, 3)) is None
 
 
+def test_multiplicativity_evaluates_n_once_per_point(monkeypatch):
+    """Q[t]/(t^3 - 2) has 63 points: one evaluation of N per point and one
+    per pair, 63 + 63**2 in all."""
+    alg = number_field_algebra([-2, 0, 0, 1])
+    alg.norm = NormForm.regrep_form(alg)
+    calls = []
+    evaluate = NormForm.evaluate
+    monkeypatch.setattr(NormForm, "evaluate", lambda self, x: calls.append(1) or evaluate(self, x))
+    assert verify_multiplicative(alg, alg.norm)
+    assert len(calls) == 63 + 63**2
+
+
 def test_point_rule_by_characteristic():
     assert determining_points(PrimeField(3), 3, 3) is None
     assert len(determining_points(PrimeField(13), 3, 3)) == 3 * 3 + 3 * 9 + 27

@@ -83,6 +83,17 @@ def test_bad_files_raise(tmp_path):
         build_from_spec({"build": "wat"})
 
 
+DIM_MISMATCH = {"field": {"kind": "prime", "p": 5}, "dim": 2, "table": [[[1]]],
+                "unit": None, "label": "bad", "norm": None}
+
+
+def test_declared_dim_must_match_table():
+    with pytest.raises(SpecError, match="declared dim 2"):
+        algebra_from_json(DIM_MISMATCH)
+    assert algebra_from_json(dict(DIM_MISMATCH, dim=1)).dim == 1
+    assert algebra_from_json({k: v for k, v in DIM_MISMATCH.items() if k != "dim"}).dim == 1
+
+
 def test_build_from_spec_kinds(F9):
     ext = build_from_spec({"build": "extension", "p": 3, "n": 2, "label": "F9"})
     assert tensor_eq(ext, F9)

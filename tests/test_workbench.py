@@ -120,6 +120,16 @@ def test_cli_bad_input_exits_2(args, env_extra):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_cli_declared_dim_mismatch_exits_2(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field": {"kind": "prime", "p": 5}, "dim": 2,
+                                "table": [[[1]]], "unit": None, "label": "bad", "norm": None}))
+    proc = run_cli("check-division", "--algebra", str(path))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert "certified" not in proc.stdout
+
+
 def test_cli_bad_scalar_in_algebra_file_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"field": {"kind": "rational"}, "dim": 1,
