@@ -14,8 +14,7 @@ from .closedforms import (closed_form_inverse, involution_star, scalar_reflectio
                           quaternion_reflections_star)
 from .fields import (ExtensionField, PrimeField, RationalField, Scalar,
                      field_make, field_norm, field_trace, frobenius)
-from .forms import (NormForm, Polarization, verify_multiplicative,
-                    verify_similarity)
+from .forms import NormForm, verify_multiplicative, verify_similarity
 from .linalg import Matrix
 from .twist import (CriterionReport, CyclicSubfield, ProbeReport, ScanReport,
                     TwistResult, TwistSpec, commutative_twist,

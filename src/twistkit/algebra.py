@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import DimensionError, SingularMapError
 from .fields import Scalar
-from .linalg import (Matrix, basis_vector, rref_mod_p, stack, vec_eq, vec_sub,
+from .linalg import (Matrix, basis_vector, rref_mod_p, vec_eq, vec_sub,
                      zero_vector)
 
 DENSE_DIM_CAP = 16
@@ -202,43 +202,29 @@ def associator(alg: Algebra, x, y, z):
 def nucleus(alg: Algebra, side="all"):
     """Basis of the requested nucleus: exact nullspace of the stacked linear
     conditions [x,A,A]=0 (left), [A,x,A]=0 (middle), [A,A,x]=0 (right), their
-    intersection ("all"), or the center ("center": all + commutators)."""
+    intersection ("all"), or the center ("center": all + commutators).  The
+    n^3 basis associators are computed once and each slot reads its block."""
     n = alg.dim
-    blocks = []
-
-    def rows_for(slot):
-        rows = []
-        for j in range(n):
-            ej = alg.basis(j)
-            for k in range(n):
-                ek = alg.basis(k)
-                cols = []
-                for i in range(n):
-                    ei = alg.basis(i)
-                    args = {"left": (ei, ej, ek), "middle": (ej, ei, ek),
-                            "right": (ej, ek, ei)}[slot]
-                    cols.append(associator(alg, *args))
-                for comp in range(n):
-                    rows.append([cols[i][comp] for i in range(n)])
-        return rows
-
-    sides = {"left": ["left"], "middle": ["middle"], "right": ["right"],
-             "all": ["left", "middle", "right"],
-             "center": ["left", "middle", "right"]}
+    # the associator with x = e_i in the slot, as read from assoc[a][b][c]
+    slots = {"left": lambda i, j, k: assoc[i][j][k],      # [x, e_j, e_k]
+             "middle": lambda i, j, k: assoc[j][i][k],    # [e_j, x, e_k]
+             "right": lambda i, j, k: assoc[j][k][i]}     # [e_j, e_k, x]
+    sides = {"all": list(slots), "center": list(slots), **{s: [s] for s in slots}}
     if side not in sides:
         raise DimensionError(f"unknown nucleus side {side!r}")
+    basis = [alg.basis(i) for i in range(n)]
+    assoc = [[[associator(alg, x, y, z) for z in basis] for y in basis] for x in basis]
+    rows = []
     for slot in sides[side]:
-        blocks.append(rows_for(slot))
-    if side == "center":
-        rows = []
         for j in range(n):
-            ej = alg.basis(j)
-            cols = [commutator(alg, alg.basis(i), ej) for i in range(n)]
-            for comp in range(n):
-                rows.append([cols[i][comp] for i in range(n)])
-        blocks.append(rows)
-    system = stack(alg.field, blocks)
-    return system.nullspace()
+            for k in range(n):
+                cols = [slots[slot](i, j, k) for i in range(n)]
+                rows.extend([col[comp] for col in cols] for comp in range(n))
+    if side == "center":
+        for j in range(n):
+            cols = [commutator(alg, basis[i], basis[j]) for i in range(n)]
+            rows.extend([col[comp] for col in cols] for comp in range(n))
+    return Matrix(alg.field, rows).nullspace()
 
 
 def center(alg: Algebra):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import Algebra
-from .errors import CapExceeded, DimensionError
+from .errors import CapExceeded, DimensionError, HypothesisError
 from .linalg import Matrix, vec_eq, vec_is_zero
 
 RATIONAL_UNKNOWN_CAP = 81
@@ -60,21 +60,37 @@ def _dedupe_rows(rows):
 @dataclass
 class DerivationSpace:
     """Basis of Der(A) (or Der_c(A)) as matrices, with the Lie bracket
-    structure constants over that basis."""
+    structure constants over that basis.
+
+    The basis is a nullspace basis: each member has a 1 at its own free
+    entry, which is its last nonzero entry in row-major order, and a 0 at
+    the free entries of the others."""
     algebra: Algebra
     basis: list
     bracket: list = dc_field(default_factory=list)
+
+    def __post_init__(self):
+        self._free = [max(((r, c) for r, row in enumerate(b.rows)
+                           for c, v in enumerate(row) if v), default=(0, 0))
+                      for b in self.basis]
+        one, zero = self.algebra.field.one(), self.algebra.field.zero()
+        if any(b.rows[r][c] != (one if i == k else zero) for i, b in enumerate(self.basis)
+               for k, (r, c) in enumerate(self._free)):
+            raise DimensionError("basis is not reduced at its free entries")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, m: Matrix):
-        """Coordinates of m in the span of the basis, or None."""
-        flat = [v for row in m.rows for v in row]
-        from .linalg import in_span
-        vecs = [[v for row in b.rows for v in row] for b in self.basis]
-        return in_span(vecs, flat, self.algebra.field)
+        """Coordinates of m in the span of the basis, or None: the entries of
+        m at the free entries, checked by one exact recombination."""
+        coords = [m.rows[r][c] for r, c in self._free]
+        span = Matrix.zero(self.algebra.field, self.algebra.dim)
+        for k, b in zip(coords, self.basis):
+            if k:
+                span = span + b.scale(k)
+        return coords if span == m else None
 
 
 def _cap_check(alg: Algebra):
@@ -98,21 +114,12 @@ def derivations(alg: Algebra, fixing=None) -> DerivationSpace:
                 if c[b]:
                     row[k * n + b] = c[b]
             rows.append(row)
-    rows = _dedupe_rows(rows)
-    if not rows:
-        # no constraints: every matrix is a derivation (dim-1 zero algebra)
-        basis = []
-        for a in range(n):
-            for b in range(n):
-                m = Matrix.zero(alg.field, n)
-                m.rows[a][b] = alg.field.one()
-                basis.append(m)
-        space = DerivationSpace(alg, basis)
-    else:
-        kernel = Matrix(alg.field, rows).nullspace()
-        basis = [Matrix(alg.field, [vec[r * n:(r + 1) * n] for r in range(n)])
-                 for vec in kernel]
-        space = DerivationSpace(alg, basis)
+    # no constraints left (dim-1 zero algebra): one zero row, so every
+    # elementary matrix is a derivation
+    rows = _dedupe_rows(rows) or [[alg.field.zero()] * (n * n)]
+    kernel = Matrix(alg.field, rows).nullspace()
+    space = DerivationSpace(alg, [Matrix(alg.field, [vec[r * n:(r + 1) * n] for r in range(n)])
+                                  for vec in kernel])
     space.bracket = _bracket_table(space)
     return space
 
@@ -122,32 +129,20 @@ def derivations_fixing(alg: Algebra, c) -> DerivationSpace:
 
 
 def _bracket_table(space: DerivationSpace):
-    """Structure constants of [D_a, D_b] over the computed basis; raises if
-    the bracket leaves the span (exact closure check)."""
-    table = []
-    for a, da in enumerate(space.basis):
-        row = []
-        for b, db in enumerate(space.basis):
-            if b <= a:
-                row.append(None)  # filled by antisymmetry below
-                continue
-            br = (da @ db) - (db @ da)
-            coords = space.contains(br)
-            assert coords is not None, "bracket closure failed"
-            row.append(coords)
-        table.append(row)
-    dim = len(space.basis)
+    """Structure constants of [D_a, D_b] over the basis, [D_b, D_a] by
+    antisymmetry; raises HypothesisError if a bracket leaves the span."""
+    dim = space.dim
     zero = space.algebra.field.zero()
-    full = [[None] * dim for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            if a == b:
-                full[a][b] = [zero] * dim
-            elif b > a:
-                full[a][b] = table[a][b]
-            else:
-                full[a][b] = [-v for v in table[b][a]]
-    return full
+    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for a, da in enumerate(space.basis):
+        for b in range(a + 1, dim):
+            db = space.basis[b]
+            coords = space.contains((da @ db) - (db @ da))
+            if coords is None:
+                raise HypothesisError(f"bracket [D{a}, D{b}] leaves the derivation span")
+            table[a][b] = coords
+            table[b][a] = [-v for v in coords]
+    return table
 
 
 def is_derivation(alg: Algebra, d: Matrix):

@@ -221,10 +221,6 @@ class Scalar:
     def __repr__(self):
         return self.field.format(self)
 
-    def index(self) -> int:
-        """Canonical index of this element in its (finite) field's enumeration."""
-        return self.field.element_index(self)
-
 
 class ScalarField:
     """Base class; concrete kinds: rationals, prime, extension."""

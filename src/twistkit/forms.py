@@ -165,17 +165,6 @@ class NormForm:
         return self._gram_cache
 
 
-class Polarization:
-    """Callable wrapper for the full polarization of a form."""
-
-    def __init__(self, form: NormForm):
-        self.form = form
-        self.arity = form.degree
-
-    def __call__(self, *vs):
-        return self.form.polarize(*vs)
-
-
 def _det_over_ring(kalg, rows):
     """Determinant of a matrix with entries in a commutative algebra, by
     cofactor expansion along the first row.  Entries are coordinate vectors."""

@@ -346,14 +346,6 @@ class Matrix:
         return x, len(pivots) == self.ncols
 
 
-def stack(field, blocks):
-    """Vertically stack row blocks into one Matrix."""
-    rows = []
-    for b in blocks:
-        rows.extend(b)
-    return Matrix(field, rows)
-
-
 def in_span(basis, vec, field):
     """Exact membership of vec in the span of basis vectors; returns the
     coordinate vector or None."""

@@ -14,14 +14,15 @@ import random
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
-from .algebra import Algebra, isotope, left_mul_lines
+from .algebra import (Algebra, first_tensor_mismatch, isotope, left_mul_lines,
+                      opposite)
 from .builders import make_map
 from .errors import (CapExceeded, DimensionError, HypothesisError,
                      KaplanskiError, MixedFieldError, SingularMapError)
 from .forms import (CERT_UNKNOWN, EXHAUSTIVE_CAP, verify_multiplicative,
                     verify_similarity)
 from .linalg import (Matrix, det_mod_p, first_kernel_vector_mod_p,
-                     format_vector, in_span, vec_eq, vec_is_zero, vec_scale,
+                     format_vector, in_span, vec_add, vec_eq, vec_is_zero, vec_scale,
                      vector_at, zero_vector)
 
 SCAN_CAP = 2**14
@@ -426,8 +427,7 @@ class TwistResult:
     kaplanski_note: str = ""
 
 
-def run_twist(alg: Algebra, spec: TwistSpec, probe_trials=0, seed=0,
-              build_star=True) -> TwistResult:
+def run_twist(alg: Algebra, spec: TwistSpec, probe_trials=0, seed=0) -> TwistResult:
     """Twist, certify, unitalize; transports any zero-divisor witness through
     the Kaplanski bijections and re-verifies it on (A,*)."""
     circ = twist(alg, spec)
@@ -452,24 +452,23 @@ def run_twist(alg: Algebra, spec: TwistSpec, probe_trials=0, seed=0,
     star = None
     star_witness = None
     note = ""
-    if build_star:
-        ab = spec.kaplanski
-        if ab is None and alg.unit is not None:
-            ab = (alg.unit, alg.unit)
-        if ab is None:
-            note = "no Kaplanski elements available (source is not unital)"
-        else:
-            a, b = ab
-            try:
-                star = unitalize(circ, a, b)
-                if witness is not None:
-                    x, y = witness
-                    star_witness = (circ.right_mul_matrix(a).apply(x),
-                                    circ.left_mul_matrix(b).apply(y))
-                    assert vec_is_zero(star.multiply(*star_witness)), \
-                        "transported witness failed"
-            except KaplanskiError as exc:
-                note = str(exc)
+    ab = spec.kaplanski
+    if ab is None and alg.unit is not None:
+        ab = (alg.unit, alg.unit)
+    if ab is None:
+        note = "no Kaplanski elements available (source is not unital)"
+    else:
+        a, b = ab
+        try:
+            star = unitalize(circ, a, b)
+            if witness is not None:
+                x, y = witness
+                star_witness = (circ.right_mul_matrix(a).apply(x),
+                                circ.left_mul_matrix(b).apply(y))
+                assert vec_is_zero(star.multiply(*star_witness)), \
+                    "transported witness failed"
+        except KaplanskiError as exc:
+            note = str(exc)
     return TwistResult(source=alg, spec=spec, circ=circ, star=star,
                        division_status=division, witness=witness,
                        star_witness=star_witness, criterion=crit,
@@ -515,37 +514,21 @@ def commutative_twist(kalg: Algebra, sigma: Matrix, s: int, t: int,
     spec = TwistSpec(variant=1, c=c, f=fmap, g=gmap)
     circ = twist(kalg, spec)
     diamond = isotope(circ, Matrix.identity(kalg.field, n), fmap)
-    commutative = True
-    witness = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not vec_eq(diamond.table[i][j], diamond.table[j][i]):
-                commutative, witness = False, (i, j)
-                break
-        if not commutative:
-            break
+    witness = first_tensor_mismatch(diamond, opposite(diamond))
     finv = fmap.inverse()
-    matches = True
-    mismatch = None
-    for i in range(n):
-        for j in range(n):
-            claimed = [u + v for u, v in zip(
-                kalg.table[i][j],
-                kalg.multiply(fmap.column(i), finv.column(j)))]
-            if not vec_eq(diamond.table[i][j], claimed):
-                matches, mismatch = False, (i, j)
-                break
-        if not matches:
-            break
+    claimed = Algebra(kalg.field, [[vec_add(kalg.table[i][j],
+                                            kalg.multiply(fmap.column(i), finv.column(j)))
+                                    for j in range(n)] for i in range(n)])
+    mismatch = first_tensor_mismatch(diamond, claimed)
     status, _ = division_exhaustive(diamond)
     return CommutativeTwistReport(
-        circ=circ, diamond=diamond, commutative=commutative, witness=witness,
-        closed_form_matches=matches, first_mismatch=mismatch,
+        circ=circ, diamond=diamond, commutative=witness is None, witness=witness,
+        closed_form_matches=mismatch is None, first_mismatch=mismatch,
         division_status="division" if status == "certified" else "zero-divisor")
 
 
 def twist_spec_from_parts(alg: Algebra, variant, c, f_spec, g_spec,
-                          h_spec=None, kaplanski=None) -> TwistSpec:
+                          h_spec=None) -> TwistSpec:
     """Assemble a TwistSpec from map descriptors (MapSpec inputs) and a c
     given as a vector, a coordinate string, or a base-field scalar."""
     c = alg.parse_element(c)
@@ -554,5 +537,4 @@ def twist_spec_from_parts(alg: Algebra, variant, c, f_spec, g_spec,
     h = None
     if h_spec is not None:
         h = h_spec if isinstance(h_spec, Matrix) else make_map(alg, h_spec)
-    return TwistSpec(variant=int(variant), c=c, f=f, g=g, h=h,
-                     kaplanski=kaplanski)
+    return TwistSpec(variant=int(variant), c=c, f=f, g=g, h=h)

@@ -11,7 +11,7 @@ from twistkit.errors import CapExceeded
 from twistkit.fields import RationalField
 from twistkit.fixtures import INNER_SAMPLE_H
 from twistkit.linalg import Matrix, vec_eq, vec_is_zero, vec_scale
-from twistkit.twist import TwistSpec, run_twist
+from twistkit.twist import TwistSpec, run_twist, twist
 
 
 def test_derivation_dimensions(H, O, F9):
@@ -132,7 +132,7 @@ def test_containment_dc_on_cyclic_circ(cyclicQ):
     gmap = make_map(cyclicQ, {"map": "inner", "q": [3, 1, 0, 0]})
     c = cyclicQ.basis(1)
     spec = TwistSpec(variant=1, c=c, f=fmap, g=gmap)
-    circ = run_twist(cyclicQ, spec, build_star=False).circ
+    circ = twist(cyclicQ, spec)
     dc = inner_derivation(cyclicQ, c)
     assert any(any(row) for row in dc.rows)        # d_c is nonzero
     assert is_derivation(circ, dc)[0]

@@ -1,7 +1,8 @@
 """What the benchmark under bench/ reaches in twistkit still exists and still
 works: every name its tracer patches, the `twistkit.twist` module in
-sys.modules, and each seed-1 `division` op with its oracle check.  Nothing
-under bench/ is changed; its modules are imported from there."""
+sys.modules, and each seed-1 op of every workload with its oracle check and
+pinned digests.  Nothing under bench/ is changed; its modules are imported
+from there."""
 
 import importlib
 import sys
@@ -65,3 +66,14 @@ def test_division_ops_pass_their_checks(bench_modules, tmp_path):
         workloads.REFUTES_PER_FIELD * len(workloads.REFUTE_FIELDS))
     for op in ops:
         op.check(op.call())
+
+
+@pytest.mark.parametrize("workload", ["bundle", "scan"])
+def test_cli_ops_pass_their_checks(bench_modules, tmp_path, workload):
+    """The rule of `run_pass` in bench/run.py: a probe passes when it shows
+    its known defect, and otherwise its check must pass, as every other op's."""
+    _, workloads = bench_modules
+    for op in workloads.WORKLOADS[workload](1, tmp_path):
+        out = op.call()
+        if op.known_defect is None or not op.known_defect(out):
+            op.check(out)

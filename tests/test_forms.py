@@ -8,7 +8,7 @@ import pytest
 from twistkit.builders import make_map
 from twistkit.errors import HypothesisError
 from twistkit.fields import ExtensionField, PrimeField, RationalField, field_norm
-from twistkit.forms import (NormForm, Polarization, is_positive_definite,
+from twistkit.forms import (NormForm, is_positive_definite,
                             verify_multiplicative, verify_similarity)
 from twistkit.linalg import Matrix, vec_add, vec_scale
 
@@ -50,8 +50,8 @@ def test_polarize_quaternions(H):
 def test_polarize_degree3_permutation_invariant(F125):
     # degree-3 regrep norm over F_5 (char 5 > 3, polarization admissible)
     rng = random.Random(11)
-    pol = Polarization(F125.norm)
-    assert pol.arity == 3
+    pol = F125.norm.polarize
+    assert F125.norm.degree == 3
     for _ in range(5):
         vs = [[F125.field.element(rng.randint(0, 4)) for _ in range(3)]
               for _ in range(3)]
