@@ -5,12 +5,13 @@ reports for twisted algebras.
 The Leibniz system for an n-dimensional algebra has n^2 unknowns (the matrix
 entries of D) and n^3 equations D(e_i e_j) = D(e_i) e_j + e_i D(e_j); the
 derivation space is its exact nullspace, returned in reduced echelon form
-with the Lie bracket table computed and closure verified.
+with the Lie bracket table computed and closure verified on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import Algebra
 from .errors import CapExceeded, DimensionError, HypothesisError
@@ -60,14 +61,13 @@ def _dedupe_rows(rows):
 @dataclass
 class DerivationSpace:
     """Basis of Der(A) (or Der_c(A)) as matrices, with the Lie bracket
-    structure constants over that basis.
+    structure constants over that basis (computed on first read).
 
     The basis is a nullspace basis: each member has a 1 at its own free
     entry, which is its last nonzero entry in row-major order, and a 0 at
     the free entries of the others."""
     algebra: Algebra
     basis: list
-    bracket: list = dc_field(default_factory=list)
 
     def __post_init__(self):
         self._free = [max(((r, c) for r, row in enumerate(b.rows)
@@ -81,6 +81,10 @@ class DerivationSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def bracket(self) -> list:
+        return _bracket_table(self)
 
     def contains(self, m: Matrix):
         """Coordinates of m in the span of the basis, or None: the entries of
@@ -118,10 +122,8 @@ def derivations(alg: Algebra, fixing=None) -> DerivationSpace:
     # elementary matrix is a derivation
     rows = _dedupe_rows(rows) or [[alg.field.zero()] * (n * n)]
     kernel = Matrix(alg.field, rows).nullspace()
-    space = DerivationSpace(alg, [Matrix(alg.field, [vec[r * n:(r + 1) * n] for r in range(n)])
-                                  for vec in kernel])
-    space.bracket = _bracket_table(space)
-    return space
+    return DerivationSpace(alg, [Matrix(alg.field, [vec[r * n:(r + 1) * n] for r in range(n)])
+                                 for vec in kernel])
 
 
 def derivations_fixing(alg: Algebra, c) -> DerivationSpace:

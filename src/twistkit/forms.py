@@ -2,7 +2,10 @@
 
 A form is carried either as a Gram matrix (degree 2), as the determinant of a
 left-multiplication representation (degree n), or as the determinant of the
-representation over a commutative subfield block (cyclic algebras).
+representation over a commutative subfield block (cyclic algebras).  Over a
+prime field the representation determinant is det_mod_p of the int L_x,
+from int basis matrices built with the form; over F_{p^k} and Q it is the
+Scalar determinant of left_mul_matrix(x).
 
 Multiplicativity and similarity are proved, never sampled: on the points of
 determining_points, on all of F^n where those do not fix the form, or (degree
@@ -16,9 +19,12 @@ absent a certificate downstream division guarantees are refused.
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import mul
 
+from .algebra import _prime_left_mul_mats
 from .errors import DimensionError, HypothesisError, SingularMapError
-from .linalg import Matrix, basis_vector, vec_add, vector_at, zero_vector
+from .linalg import (Matrix, basis_vector, det_mod_p, vec_add, vector_at,
+                     zero_vector)
 
 CERT_POSITIVE_DEFINITE = "positive-definite"
 CERT_FIELD_NORM = "field-norm"
@@ -55,9 +61,16 @@ class NormForm:
     @classmethod
     def regrep_form(cls, algebra, certificate=CERT_UNKNOWN):
         """det of left multiplication; degree = dim of the algebra.  For a
-        field extension viewed as an algebra this is the field norm."""
+        field extension viewed as an algebra this is the field norm.  Over a
+        prime field the int matrices M_j of y -> e_j y are built here, kept
+        entry by entry as (M_0[r][c], M_1[r][c], ...), and evaluate takes
+        det_mod_p of L_x = sum_j x_j M_j."""
+        coeffs = None
+        if algebra.field.kind == "prime":
+            mats = _prime_left_mul_mats(algebra)[1]
+            coeffs = [list(zip(*rows)) for rows in zip(*mats)]
         return cls(algebra.field, algebra.dim, algebra.dim, "regrep",
-                   certificate, algebra=algebra)
+                   certificate, algebra=algebra, int_coeffs=coeffs)
 
     @classmethod
     def cyclic_form(cls, kalg, sigma, d, certificate=CERT_UNKNOWN):
@@ -85,7 +98,10 @@ class NormForm:
                         acc = acc + xi * row[j] * xj
             return acc
         if self.kind == "regrep":
-            return self.data["algebra"].left_mul_matrix(x).det()
+            coeffs = self.data.get("int_coeffs")
+            if coeffs is None:
+                return self.data["algebra"].left_mul_matrix(x).det()
+            return _int_regrep_det(coeffs, x, self.field)
         if self.kind == "cyclic":
             return self._cyclic_eval(x)
         raise DimensionError(f"unknown form kind {self.kind}")
@@ -163,6 +179,15 @@ class NormForm:
                 g[i][j] = g[j][i] = half * theta
         self._gram_cache = Matrix(self.field, g)
         return self._gram_cache
+
+
+def _int_regrep_det(coeffs, x, field):
+    """det_mod_p of L_x = sum_j x_j M_j over the prime field, from the int
+    coefficients (M_j[r][c] for all j) of each entry."""
+    p = field.characteristic
+    a = [field.element(v).payload for v in x]
+    return field.element(det_mod_p([[sum(map(mul, a, e)) % p for e in row]
+                                    for row in coeffs], p))
 
 
 def _det_over_ring(kalg, rows):

@@ -149,10 +149,25 @@ class CriterionReport:
     factors: dict = dc_field(default_factory=dict)
     reason: str = ""
 
+    def at(self, norm, c) -> CriterionReport:
+        """The report for another c with the same maps: N(c) against this
+        report's threshold.  An INAPPLICABLE report holds for every c."""
+        if self.verdict == INAPPLICABLE:
+            return self
+        nc = norm.evaluate(c)
+        verdict = GUARANTEED if nc != self.threshold else NOT_GUARANTEED
+        return CriterionReport(verdict, threshold=self.threshold, norm_of_c=nc,
+                               factors=self.factors)
+
 
 def norm_criterion(alg: Algebra, spec: TwistSpec) -> CriterionReport:
     """Division guarantee: anisotropic multiplicative N and
-    N(c) != 1/(alpha beta d d1 d2 d3), absent maps contributing factor 1."""
+    N(c) != 1/(alpha beta d d1 d2 d3), absent maps contributing factor 1.
+
+    Only N(c) depends on c.  The rest (certificate, multiplicativity, the
+    similarity factors, the threshold) is computed here once, and
+    CriterionReport.at gives the verdict for another c from it; scan_c
+    calls this once per scan and `at` for every further c."""
     if alg.norm is None:
         return CriterionReport(INAPPLICABLE, reason="no norm attached")
     if alg.norm.certificate == CERT_UNKNOWN:
@@ -173,10 +188,8 @@ def norm_criterion(alg: Algebra, spec: TwistSpec) -> CriterionReport:
                                    reason=f"{name} is not a verified similarity")
         factors[name] = a
         prod = prod * a
-    threshold = prod.inverse()
-    nc = alg.norm.evaluate([alg.field.element(v) for v in spec.c])
-    verdict = GUARANTEED if nc != threshold else NOT_GUARANTEED
-    return CriterionReport(verdict, threshold=threshold, norm_of_c=nc, factors=factors)
+    base = CriterionReport("", threshold=prod.inverse(), factors=factors)
+    return base.at(alg.norm, [alg.field.element(v) for v in spec.c])
 
 
 @dataclass
@@ -386,7 +399,11 @@ class ScanReport:
 def scan_c(alg: Algebra, variant: int, f: Matrix, g: Matrix, seed=0,
            f_desc="f", g_desc="g") -> ScanReport:
     """Run the twist and the exhaustive division check for every c in A
-    (including 0), with the norm-criterion verdict per c."""
+    (including 0), with the norm-criterion verdict per c.
+
+    The criterion is computed once, at the first c (after that c's twist
+    and division check, so errors come in that order), and every further c
+    costs one N(c) through CriterionReport.at."""
     q = alg.field.order()
     if q is None:
         raise DimensionError("scan_c needs a finite field")
@@ -394,12 +411,13 @@ def scan_c(alg: Algebra, variant: int, f: Matrix, g: Matrix, seed=0,
     if total > SCAN_CAP:
         raise CapExceeded(f"|A| = {total} exceeds scan cap {SCAN_CAP}")
     records = []
+    crit = None
     for ci in range(total):
         c = vector_at(alg.field, alg.dim, ci)
         spec = TwistSpec(variant=variant, c=c, f=f, g=g)
         circ = twist(alg, spec)
         status, witness = division_exhaustive(circ)
-        crit = norm_criterion(alg, spec)
+        crit = norm_criterion(alg, spec) if crit is None else crit.at(alg.norm, c)
         nc = crit.norm_of_c
         if nc is None and alg.norm is not None:
             nc = alg.norm.evaluate(c)

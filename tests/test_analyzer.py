@@ -2,6 +2,7 @@
 
 import pytest
 
+from twistkit import analyzer
 from twistkit.analyzer import (containment_check, derivation_family,
                                derivations, derivations_fixing,
                                inner_automorphism_family, inner_derivation,
@@ -27,6 +28,19 @@ def test_derivation_basis_satisfies_leibniz_and_kills_unit(H, O):
             ok, _ = is_derivation(alg, d)
             assert ok
             assert vec_is_zero(d.apply(alg.unit))
+
+
+def test_bracket_table_is_built_on_first_read(H, monkeypatch):
+    """derivations() builds no bracket table; the first read of .bracket
+    builds it once, and derivation_report still carries it."""
+    calls = []
+    table = analyzer._bracket_table
+    monkeypatch.setattr(analyzer, "_bracket_table",
+                        lambda space: calls.append(1) or table(space))
+    space = derivations(H)
+    assert space.dim == 3 and calls == []
+    assert space.bracket is space.bracket and calls == [1]
+    assert len(analyzer.derivation_report(H)["bracket"]) == 3 and calls == [1, 1]
 
 
 def test_bracket_closure_and_antisymmetry(H):
