@@ -2,15 +2,15 @@
 
 An algebra is a field, a dimension n and an n*n*n tensor with
 e_i e_j = sum_k table[i][j][k] e_k.  Elements are coordinate vectors.
-Algebras are immutable after construction; all operations are pure.
+Over a prime field the tensor is also kept as int residues, built once at
+construction, and products run on them (_sparse_product).
 """
 
 from __future__ import annotations
 
-from .errors import DimensionError, SingularMapError
+from .errors import DimensionError, MixedFieldError, SingularMapError
 from .fields import Scalar
-from .linalg import (Matrix, basis_vector, rref_mod_p, vec_eq, vec_sub,
-                     zero_vector)
+from .linalg import Matrix, basis_vector, vec_eq, vec_sub, zero_vector
 
 DENSE_DIM_CAP = 16
 
@@ -27,6 +27,12 @@ class Algebra:
         for row in self.table:
             if len(row) != self.dim or any(len(cell) != self.dim for cell in row):
                 raise DimensionError("structure tensor is not n*n*n")
+        # over F_p: the tensor as int residues, dense and as sparse (k, t) cells
+        self._int_table = self._cells = None
+        if field.kind == "prime":
+            self._int_table = [[_residues(field, cell) for cell in row] for row in self.table]
+            self._cells = [[[(k, t) for k, t in enumerate(cell) if t] for cell in row]
+                           for row in self._int_table]
         self.label = label
         self.norm = norm
         self.unit = None
@@ -57,6 +63,10 @@ class Algebra:
     def multiply(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionError("vector length mismatch")
+        if self._cells is not None:
+            field = self.field
+            return [Scalar(field, v) for v in _sparse_product(
+                self._cells, _residues(field, x), _residues(field, y), 0, field.p)]
         out = zero_vector(self.field, self.dim)
         for i, xi in enumerate(x):
             if not xi:
@@ -169,6 +179,41 @@ class Algebra:
         if text.startswith("["):
             return self.element_from_string(text)
         return self.scalar_vec(self.field.parse(text))
+
+
+def _residues(field, vec):
+    """The int residues mod p of a vector over the prime field `field`: a
+    Scalar of the field gives its payload, an int its residue, a zero entry
+    0; a nonzero entry of another field or type raises what a Scalar product
+    with it raises (MixedFieldError, TypeError)."""
+    out = []
+    for v in vec:
+        if not v:
+            out.append(0)
+        elif isinstance(v, Scalar):
+            if v.field != field:
+                raise MixedFieldError(f"{field} vs {v.field}")
+            out.append(v.payload)
+        elif isinstance(v, int):
+            out.append(v % field.p)
+        else:
+            raise TypeError(f"not an element of {field}: {v!r}")
+    return out
+
+
+def _sparse_product(cells, x, y, zero, p=None):
+    """x y on raw coordinates, from cells[i][j] = the nonzero (k, t) of
+    e_i e_j; reduced mod p when p is given.  The one product kernel of
+    Algebra.multiply over F_p, twist() and verify_multiplicative."""
+    out = [zero] * len(cells)
+    for xi, row in zip(x, cells):
+        if xi:
+            for yj, cell in zip(y, row):
+                if yj:
+                    s = xi * yj
+                    for k, t in cell:
+                        out[k] += s * t
+    return out if p is None else [a % p for a in out]
 
 
 def _split_top_level(body):
@@ -292,6 +337,8 @@ def _prime_left_mul_mats(alg: Algebra):
     when it is singular over the scalar field."""
     field = alg.field
     p = field.characteristic
+    if alg._int_table is not None:
+        return p, [[list(r) for r in zip(*mat)] for mat in alg._int_table]
     k = 1
     while p**k < field.order():
         k += 1
@@ -340,18 +387,3 @@ def left_mul_lines(alg: Algebra):
                 digits[j] += 1
                 lx = add(lx, mats[j])
             yield p**h + step, lx
-
-
-def zero_divisor_pairs_count(alg: Algebra) -> int:
-    """Number of ordered nonzero pairs multiplying to zero (finite fields,
-    small dimensions only; used by isotopy-invariance checks): the sum over
-    singular nonzero x of p^(dim ker L_x) - 1, one L_x per F_p line."""
-    order = alg.field.order()
-    if order is None or order**alg.dim > 2**12:
-        raise DimensionError("zero divisor count is capped to tiny algebras")
-    p = alg.field.characteristic
-    count = 0
-    for _, lx in left_mul_lines(alg):
-        count += p**(len(lx) - len(rref_mod_p(lx, p)[1])) - 1
-    return (p - 1) * count
-

@@ -21,8 +21,9 @@ from __future__ import annotations
 from itertools import combinations, product
 from operator import mul
 
-from .algebra import _prime_left_mul_mats
+from .algebra import _prime_left_mul_mats, _residues, _sparse_product
 from .errors import DimensionError, HypothesisError, SingularMapError
+from .fields import Scalar
 from .linalg import (Matrix, basis_vector, det_mod_p, vec_add, vector_at,
                      zero_vector)
 
@@ -101,7 +102,8 @@ class NormForm:
             coeffs = self.data.get("int_coeffs")
             if coeffs is None:
                 return self.data["algebra"].left_mul_matrix(x).det()
-            return _int_regrep_det(coeffs, x, self.field)
+            return Scalar(self.field, _regrep_det_mod_p(coeffs, _residues(self.field, x),
+                                                        self.field.p))
         if self.kind == "cyclic":
             return self._cyclic_eval(x)
         raise DimensionError(f"unknown form kind {self.kind}")
@@ -181,13 +183,10 @@ class NormForm:
         return self._gram_cache
 
 
-def _int_regrep_det(coeffs, x, field):
-    """det_mod_p of L_x = sum_j x_j M_j over the prime field, from the int
+def _regrep_det_mod_p(coeffs, a, p):
+    """det_mod_p of L_a = sum_j a_j M_j for int coordinates a, from the int
     coefficients (M_j[r][c] for all j) of each entry."""
-    p = field.characteristic
-    a = [field.element(v).payload for v in x]
-    return field.element(det_mod_p([[sum(map(mul, a, e)) % p for e in row]
-                                    for row in coeffs], p))
+    return det_mod_p([[sum(map(mul, a, e)) % p for e in row] for row in coeffs], p)
 
 
 def _det_over_ring(kalg, rows):
@@ -294,10 +293,18 @@ def verify_similarity(norm: NormForm, f: Matrix):
 def verify_multiplicative(alg, norm: NormForm) -> bool:
     """Exact check of N(xy) = N(x) N(y) on all pairs of the points of
     _check_points: for fixed y both sides are degree-d forms in x, and for
-    fixed x in y.  N is evaluated once per point and once per pair."""
+    fixed x in y.  N is evaluated once per point and once per pair; a
+    prime-field regrep norm is evaluated on int residues throughout."""
     if alg.dim != norm.dim or alg.field != norm.field:
         raise DimensionError("norm does not match the algebra")
     pts = list(_check_points(alg.field, alg.dim, norm.degree, 2, "multiplicativity"))
+    coeffs = norm.data.get("int_coeffs")
+    if coeffs is not None:
+        p, cells = alg.field.p, alg._cells
+        pts = [_residues(alg.field, x) for x in pts]
+        norms = [_regrep_det_mod_p(coeffs, x, p) for x in pts]
+        return all(_regrep_det_mod_p(coeffs, _sparse_product(cells, x, y, 0, p), p)
+                   == nx * ny % p for x, nx in zip(pts, norms) for y, ny in zip(pts, norms))
     norms = [norm.evaluate(x) for x in pts]
     for x, nx in zip(pts, norms):
         for y, ny in zip(pts, norms):

@@ -1,7 +1,8 @@
 """Exact linear algebra over the scalar tower.
 
 Over Q the forward elimination is fraction-free (Bareiss) on integer-cleared
-rows; over finite fields it is plain Gaussian elimination.  Pivoting is
+rows; over finite fields it is plain Gaussian elimination, which over a
+prime field runs on the int payloads for det and products.  Pivoting is
 deterministic: first nonzero entry in column order.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DimensionError, SingularMapError
 from .fields import RationalField, Scalar
@@ -192,6 +194,12 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows or self.field != other.field:
             raise DimensionError("matmul shape/field mismatch")
+        if self.field.kind == "prime":
+            field, p = self.field, self.field.p
+            rows = [[a.payload for a in row] for row in self.rows]
+            cols = [[b.payload for b in col] for col in zip(*other.rows)]
+            return Matrix(field, [[Scalar(field, sum(map(mul, r, c)) % p) for c in cols]
+                                  for r in rows])
         zero = self.field.zero()
         bt = other.transpose().rows
         out = []
@@ -290,6 +298,9 @@ class Matrix:
             else:
                 r, c = pivots[-1]
                 self._det = Scalar(self.field, Fraction(sign * rows[r][c]) / scale)
+        elif self.field.kind == "prime":
+            self._det = Scalar(self.field, det_mod_p([[a.payload for a in r] for r in self.rows],
+                                                     self.field.p))
         else:
             rows = [list(r) for r in self.rows]
             pivots, sign = _gauss_echelon(rows, self.ncols)

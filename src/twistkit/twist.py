@@ -14,11 +14,12 @@ import random
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
-from .algebra import (Algebra, first_tensor_mismatch, isotope, left_mul_lines,
-                      opposite)
+from .algebra import (Algebra, _sparse_product, first_tensor_mismatch, isotope,
+                      left_mul_lines, opposite)
 from .builders import make_map
 from .errors import (CapExceeded, DimensionError, HypothesisError,
                      KaplanskiError, MixedFieldError, SingularMapError)
+from .fields import Scalar
 from .forms import (CERT_UNKNOWN, EXHAUSTIVE_CAP, verify_multiplicative,
                     verify_similarity)
 from .linalg import (Matrix, det_mod_p, first_kernel_vector_mod_p,
@@ -61,12 +62,15 @@ _BRACKETINGS = (
 
 
 def _raw(field):
-    """(lift, zero, reduce) on `field`: int payloads reduced mod p after each
-    product on F_p, Fraction payloads on Q, the Scalars themselves on F_{p^k}."""
+    """(lift, zero, p, lower) on `field`: int payloads reduced mod p after
+    each product on F_p, Fraction payloads on Q (p None), the Scalars
+    themselves on F_{p^k}; lower turns a raw value into its Scalar."""
     if field.kind == "ext":
-        return (lambda s: s), field.zero(), (lambda v: v)
-    p = field.characteristic
-    return (lambda s: s.payload), 0, (lambda v: [a % p for a in v]) if p else (lambda v: v)
+        return (lambda s: s), field.zero(), None, (lambda v: v)
+    if field.kind == "prime":
+        p = field.p
+        return (lambda s: s.payload), 0, p, (lambda v: Scalar(field, v % p))
+    return (lambda s: s.payload), 0, None, (lambda v: Scalar(field, v))
 
 
 def twist(alg: Algebra, spec: TwistSpec) -> Algebra:
@@ -79,7 +83,8 @@ def twist(alg: Algebra, spec: TwistSpec) -> Algebra:
       4/10: xy - h(p (c q))   5/11: xy - h((p q) c)   6/12: xy - h(p (q c))
 
     With a pre-isotope (h1,h2,h3) all products are taken in A^(h1,h2,h3).
-    It runs on raw scalars (see _raw), lowered to Scalars once per entry.
+    It runs on raw scalars (see _raw), over F_p on the int tensor of the
+    base, and lowers each entry to a Scalar once.
     """
     base = alg
     if spec.pre_isotope is not None:
@@ -91,7 +96,7 @@ def twist(alg: Algebra, spec: TwistSpec) -> Algebra:
     n = alg.dim
     if len(spec.c) != n:
         raise DimensionError("twist element has wrong length")
-    lift, zero, reduce = _raw(alg.field)
+    lift, zero, p, lower = _raw(alg.field)
     c = [lift(alg.field.element(v)) for v in spec.c]
     for m in (spec.f, spec.g, spec.h):
         if m is not None and m.field != alg.field:
@@ -100,29 +105,25 @@ def twist(alg: Algebra, spec: TwistSpec) -> Algebra:
             raise DimensionError("twist map has wrong size")
     fcols, gcols = ([[lift(a) for a in col] for col in m.columns()] for m in (spec.f, spec.g))
     hrows = None if spec.h is None else [[lift(a) for a in row] for row in spec.h.rows]
-    consts = [[[(k, lift(t)) for k, t in enumerate(cell) if t] for cell in row]
-              for row in base.table]
+    if base._cells is not None:
+        dense, consts = base._int_table, base._cells
+    else:
+        dense = [[[lift(t) for t in cell] for cell in row] for row in base.table]
+        consts = [[[(k, t) for k, t in enumerate(cell) if t] for cell in row] for row in dense]
 
     def mul(x, y):
-        out = [zero] * n
-        for xi, row in zip(x, consts):
-            if xi:
-                for yj, cell in zip(y, row):
-                    if yj:
-                        s = xi * yj
-                        for k, t in cell:
-                            out[k] += s * t
-        return reduce(out)
+        return _sparse_product(consts, x, y, zero, p)
 
     def happly(v):
         if hrows is None:
             return v
-        return reduce([sum((a * b for a, b in zip(row, v)), zero) for row in hrows])
+        out = [sum((a * b for a, b in zip(row, v)), zero) for row in hrows]
+        return out if p is None else [a % p for a in out]
 
     def entry(i, j):
-        p, q = (fcols[j], gcols[i]) if spec.variant > 6 else (fcols[i], gcols[j])
-        sub = _BRACKETINGS[(spec.variant - 1) % 6](mul, happly, c, p, q)
-        return [alg.field.element(lift(a) - b) for a, b in zip(base.table[i][j], sub)]
+        u, v = (fcols[j], gcols[i]) if spec.variant > 6 else (fcols[i], gcols[j])
+        sub = _BRACKETINGS[(spec.variant - 1) % 6](mul, happly, c, u, v)
+        return [lower(a - b) for a, b in zip(dense[i][j], sub)]
 
     table = [[entry(i, j) for j in range(n)] for i in range(n)]
     label = f"({alg.label},o{spec.variant})" if alg.label else ""

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from reference_division import zero_divisor_pairs_count
 from twistkit.algebra import (Algebra, associator, commutator,
                               first_tensor_mismatch, isotope, nucleus,
-                              opposite, tensor_eq, zero_divisor_pairs_count)
+                              opposite, tensor_eq)
 from twistkit.builders import extension_as_algebra, make_map
 from twistkit.errors import SingularMapError
 from twistkit.fields import ExtensionField, RationalField

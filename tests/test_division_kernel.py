@@ -8,9 +8,9 @@ import random
 import pytest
 
 from reference_division import (reference_division_exhaustive,
-                                reference_pairs_count, witness_text)
-from twistkit.algebra import (isotope, left_mul_lines,
-                              zero_divisor_pairs_count)
+                                reference_pairs_count, witness_text,
+                                zero_divisor_pairs_count)
+from twistkit.algebra import isotope, left_mul_lines
 from twistkit.builders import (cayley_dickson, extension_as_algebra,
                                ground_algebra, make_map, standard_involution)
 from twistkit.fields import ExtensionField, PrimeField

@@ -4,8 +4,9 @@ random rank-deficient matrices against the Scalar reference paths."""
 import pytest
 
 from reference_division import (reference_division_exhaustive,
-                                reference_pairs_count, witness_text)
-from twistkit.algebra import Algebra, zero_divisor_pairs_count
+                                reference_pairs_count, witness_text,
+                                zero_divisor_pairs_count)
+from twistkit.algebra import Algebra
 from twistkit.fields import PrimeField
 from twistkit.linalg import (Matrix, det_mod_p, first_kernel_vector_mod_p,
                              rref_mod_p, vector_at)
