@@ -239,9 +239,24 @@ def commutator(alg: Algebra, x, y):
 
 
 def associator(alg: Algebra, x, y, z):
-    """[x,y,z] = (xy)z - x(yz)."""
-    return vec_sub(alg.multiply(alg.multiply(x, y), z),
-                   alg.multiply(x, alg.multiply(y, z)))
+    """[x,y,z] = (xy)z - x(yz); over F_p on the int tensor."""
+    if alg._cells is None:
+        return vec_sub(alg.multiply(alg.multiply(x, y), z),
+                       alg.multiply(x, alg.multiply(y, z)))
+    if not len(x) == len(y) == len(z) == alg.dim:
+        raise DimensionError("vector length mismatch")
+    field, cells = alg.field, alg._cells
+    x, y, z = (_residues(field, v) for v in (x, y, z))
+    left = _sparse_product(cells, _sparse_product(cells, x, y, 0), z, 0)
+    right = _sparse_product(cells, x, _sparse_product(cells, y, z, 0), 0)
+    return [Scalar(field, (a - b) % field.p) for a, b in zip(left, right)]
+
+
+def _associator_tensor(alg: Algebra):
+    """The n^3 basis associators, assoc[a][b][c] = [e_a, e_b, e_c]: read by
+    every nucleus and by the associative-regrep multiplicativity proof."""
+    basis = [alg.basis(i) for i in range(alg.dim)]
+    return [[[associator(alg, x, y, z) for z in basis] for y in basis] for x in basis]
 
 
 def nucleus(alg: Algebra, side="all"):
@@ -257,8 +272,7 @@ def nucleus(alg: Algebra, side="all"):
     sides = {"all": list(slots), "center": list(slots), **{s: [s] for s in slots}}
     if side not in sides:
         raise DimensionError(f"unknown nucleus side {side!r}")
-    basis = [alg.basis(i) for i in range(n)]
-    assoc = [[[associator(alg, x, y, z) for z in basis] for y in basis] for x in basis]
+    assoc = _associator_tensor(alg)
     rows = []
     for slot in sides[side]:
         for j in range(n):
@@ -267,7 +281,7 @@ def nucleus(alg: Algebra, side="all"):
                 rows.extend([col[comp] for col in cols] for comp in range(n))
     if side == "center":
         for j in range(n):
-            cols = [commutator(alg, basis[i], basis[j]) for i in range(n)]
+            cols = [commutator(alg, alg.basis(i), alg.basis(j)) for i in range(n)]
             rows.extend([col[comp] for col in cols] for comp in range(n))
     return Matrix(alg.field, rows).nullspace()
 

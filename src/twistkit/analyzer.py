@@ -208,7 +208,8 @@ def inner_automorphism_family(alg: Algebra, qs, f=None, g=None, c=None,
     for q in qs:
         qv = [alg.field.element(v) for v in q]
         qinv = algebra_inverse(alg, qv)
-        assert qinv is not None, f"sample {q} is not invertible"
+        if qinv is None:
+            raise AssertionError(f"sample {q} is not invertible")
         m = alg.right_mul_matrix(qinv) @ alg.left_mul_matrix(qv)
         hyp = True
         for other in (f, g):

@@ -208,7 +208,8 @@ def cyclic_algebra(kalg: Algebra, sigma: Matrix, d, certificate=CERT_UNKNOWN,
     unit = basis_vector(field, dim, 0)
     alg = Algebra(field, table, unit=unit, label=label or f"cyclic(n={n},d={d!r})")
     _verify_cyclic_relations(alg, kalg, sigma, d)
-    assert vanishes_outside(alg, range(n)), "K block is not closed"
+    if not vanishes_outside(alg, range(n)):
+        raise AssertionError("K block is not closed")
     alg.norm = NormForm.cyclic_form(kalg, sigma, d, certificate=certificate)
     return alg
 

@@ -431,7 +431,8 @@ class ExtensionField(ScalarField):
         if not pa:
             raise ZeroDivisionError(f"division by zero in {self}")
         g, s, _ = _poly_xgcd(pa, list(self.modulus), self.p)
-        assert len(g) == 1, "modulus not coprime to nonzero element"
+        if len(g) != 1:
+            raise AssertionError("modulus not coprime to nonzero element")
         ginv = pow(g[0], self.p - 2, self.p)
         s = [(c * ginv) % self.p for c in s]
         red = _poly_mod(s, list(self.modulus), self.p)
@@ -478,7 +479,8 @@ def field_norm(x: Scalar) -> Scalar:
     acc = field.one()
     for k in range(field.n):
         acc = acc * frobenius(x, k)
-    assert not any(acc.payload[1:]), "norm left the prime subfield"
+    if any(acc.payload[1:]):
+        raise AssertionError("norm left the prime subfield")
     return Scalar(field.prime_subfield, acc.payload[0])
 
 
@@ -490,7 +492,8 @@ def field_trace(x: Scalar) -> Scalar:
     acc = field.zero()
     for k in range(field.n):
         acc = acc + frobenius(x, k)
-    assert not any(acc.payload[1:]), "trace left the prime subfield"
+    if any(acc.payload[1:]):
+        raise AssertionError("trace left the prime subfield")
     return Scalar(field.prime_subfield, acc.payload[0])
 
 

@@ -9,7 +9,10 @@ Scalar determinant of left_mul_matrix(x).
 
 Multiplicativity and similarity are proved, never sampled: on the points of
 determining_points, on all of F^n where those do not fix the form, or (degree
-2, char != 2) through the Gram matrix.
+2, char != 2) through the Gram matrix.  Multiplicativity is first tried by a
+structural proof that replaces the pair walk on those points:
+"associative-regrep" (det L_x on an associative algebra) and
+"gram-composition" (L_x^T G L_x = N(x) G on the degree-2 points).
 
 Anisotropy is never decided by a general algorithm: it travels as a
 certificate ("positive-definite", "field-norm", "division-certified") and
@@ -21,11 +24,12 @@ from __future__ import annotations
 from itertools import combinations, product
 from operator import mul
 
-from .algebra import _prime_left_mul_mats, _residues, _sparse_product
+from .algebra import (_associator_tensor, _prime_left_mul_mats, _residues,
+                      _sparse_product, tensor_eq)
 from .errors import DimensionError, HypothesisError, SingularMapError
 from .fields import Scalar
-from .linalg import (Matrix, basis_vector, det_mod_p, vec_add, vector_at,
-                     zero_vector)
+from .linalg import (Matrix, basis_vector, det_mod_p, vec_add, vec_is_zero,
+                     vector_at, zero_vector)
 
 CERT_POSITIVE_DEFINITE = "positive-definite"
 CERT_FIELD_NORM = "field-norm"
@@ -133,7 +137,8 @@ class NormForm:
                 row.append(entry)
             rows.append(row)
         det = _det_over_ring(kalg, rows)
-        assert not any(det[1:]), "cyclic norm left the base field"
+        if any(det[1:]):
+            raise AssertionError("cyclic norm left the base field")
         return det[0]
 
     # -- polarization --
@@ -290,14 +295,43 @@ def verify_similarity(norm: NormForm, f: Matrix):
     return alpha
 
 
+def _multiplicativity_proof(alg, norm: NormForm):
+    """The route that proves N(xy) = N(x) N(y) for all x, y, or None.
+
+    "associative-regrep": N is det L_x for alg's structure tensor and every
+    basis associator of alg vanishes, so L_{xy} = L_x L_y.
+    "gram-composition" (degree 2, char != 2): L_x^T G L_x = N(x) G at the
+    points of determining_points; each entry of the difference is a
+    quadratic form in x, which those points fix, and the identity gives
+    N(xy) = y^T L_x^T G L_x y = N(x) N(y)."""
+    if norm.kind == "regrep" and tensor_eq(norm.data["algebra"], alg):
+        if all(vec_is_zero(v) for plane in _associator_tensor(alg)
+               for row in plane for v in row):
+            return "associative-regrep"
+    elif norm.kind == "gram" and norm.degree == 2 and alg.field.characteristic != 2:
+        g = norm.gram()
+        for x in determining_points(alg.field, alg.dim, 2):
+            lx = alg.left_mul_matrix(x)
+            if lx.transpose() @ g @ lx != g.scale(norm.evaluate(x)):
+                return None
+        return "gram-composition"
+    return None
+
+
 def verify_multiplicative(alg, norm: NormForm) -> bool:
-    """Exact check of N(xy) = N(x) N(y) on all pairs of the points of
-    _check_points: for fixed y both sides are degree-d forms in x, and for
-    fixed x in y.  N is evaluated once per point and once per pair; a
-    prime-field regrep norm is evaluated on int residues throughout."""
+    """Exact check of N(xy) = N(x) N(y).  After the cap of _check_points, a
+    route of _multiplicativity_proof (associative-regrep, gram-composition)
+    proves it without the pair walk.  Otherwise every pair of the points of
+    _check_points is walked: for fixed y both sides are degree-d forms in x,
+    and for fixed x in y.  N is evaluated once per point and once per pair;
+    a prime-field regrep norm is evaluated on int residues throughout.  A
+    False always comes from a failing pair."""
     if alg.dim != norm.dim or alg.field != norm.field:
         raise DimensionError("norm does not match the algebra")
-    pts = list(_check_points(alg.field, alg.dim, norm.degree, 2, "multiplicativity"))
+    pts = _check_points(alg.field, alg.dim, norm.degree, 2, "multiplicativity")
+    if _multiplicativity_proof(alg, norm):
+        return True
+    pts = list(pts)
     coeffs = norm.data.get("int_coeffs")
     if coeffs is not None:
         p, cells = alg.field.p, alg._cells

@@ -466,7 +466,8 @@ def run_twist(alg: Algebra, spec: TwistSpec, probe_trials=0, seed=0) -> TwistRes
     else:
         division = "unknown"
     if division == "zero-divisor":
-        assert vec_is_zero(circ.multiply(*witness)), "witness failed re-verification"
+        if not vec_is_zero(circ.multiply(*witness)):
+            raise AssertionError("witness failed re-verification")
 
     star = None
     star_witness = None
@@ -484,8 +485,8 @@ def run_twist(alg: Algebra, spec: TwistSpec, probe_trials=0, seed=0) -> TwistRes
                 x, y = witness
                 star_witness = (circ.right_mul_matrix(a).apply(x),
                                 circ.left_mul_matrix(b).apply(y))
-                assert vec_is_zero(star.multiply(*star_witness)), \
-                    "transported witness failed"
+                if not vec_is_zero(star.multiply(*star_witness)):
+                    raise AssertionError("transported witness failed")
         except KaplanskiError as exc:
             note = str(exc)
     return TwistResult(source=alg, spec=spec, circ=circ, star=star,

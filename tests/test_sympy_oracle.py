@@ -1,13 +1,15 @@
-"""sympy as an independent oracle over GF(p): the int-coded eliminations of
-`linalg` on random and rank-deficient matrices, and the irreducibility of
-every default modulus the fixture and benchmark fields use."""
+"""sympy as an independent oracle: the int-coded eliminations of `linalg`
+over GF(p) and the Bareiss path of `Matrix` over Q (det, rank, nullspace)
+on random and rank-deficient matrices, and the irreducibility of every
+default modulus the fixture and benchmark fields use."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from twistkit.fields import ExtensionField
-from twistkit.linalg import det_mod_p, first_kernel_vector_mod_p, rref_mod_p
+from twistkit.fields import ExtensionField, RationalField
+from twistkit.linalg import Matrix, det_mod_p, first_kernel_vector_mod_p, rref_mod_p
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -53,6 +55,47 @@ def cases(p, seed, square=False):
         n = rng.randint(1, 6)
         m = n if square or trial % 3 == 0 else rng.randint(1, 6)
         yield random_rows(p, n, m, rng, deficient=trial % 2 == 1)
+
+
+def rational_cases(seed, square=False):
+    """Random rationals; every other matrix rank-deficient, with one row
+    the sum of another and a multiple of a third, or one zero column."""
+    rng = random.Random(seed)
+    for trial in range(30):
+        n = rng.randint(1, 6)
+        m = n if square or trial % 3 == 0 else rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m)]
+                for _ in range(n)]
+        if trial % 2 and n > 2 and rng.random() < 0.5:
+            a, b, t = rng.sample(range(n), 3)
+            k = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            rows[t] = [x + k * y for x, y in zip(rows[a], rows[b])]
+        elif trial % 2:
+            col = rng.randrange(m)
+            for row in rows:
+                row[col] = Fraction(0)
+        yield Matrix(RationalField(), [[RationalField().element(v) for v in row]
+                                       for row in rows]), sympy.Matrix(rows)
+
+
+def as_fractions(values):
+    return [Fraction(int(v.p), int(v.q)) for v in values]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bareiss_det_matches_sympy(seed):
+    for m, expected in rational_cases(seed, square=True):
+        assert m.det().payload == as_fractions([expected.det()])[0]
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_bareiss_rank_and_nullspace_match_sympy(seed):
+    """rank, and the canonical kernel basis: one vector per free column,
+    that coordinate 1 and the other free ones 0, as sympy builds it."""
+    for m, expected in rational_cases(seed):
+        assert m.rank() == expected.rank()
+        assert ([[v.payload for v in vec] for vec in m.nullspace()]
+                == [as_fractions(vec) for vec in expected.nullspace()])
 
 
 @pytest.mark.parametrize("p", PRIMES)
