@@ -2,13 +2,16 @@
 
 An algebra is a field, a dimension n and an n*n*n tensor with
 e_i e_j = sum_k table[i][j][k] e_k.  Elements are coordinate vectors.
-Over a prime field the tensor is also kept as int residues, built once at
-construction, and products run on them (_sparse_product).
+The tensor is also kept on the field's raw values (fields codec: int
+residues over F_p, Fractions over Q, Scalars over F_{p^k}), built once at
+construction, and every product runs on it (_sparse_product).
 """
 
 from __future__ import annotations
 
-from .errors import DimensionError, MixedFieldError, SingularMapError
+import copy
+
+from .errors import DimensionError, MixedFieldError, SingularMapError, SpecError
 from .fields import Scalar
 from .linalg import Matrix, basis_vector, vec_eq, vec_sub, zero_vector
 
@@ -27,12 +30,11 @@ class Algebra:
         for row in self.table:
             if len(row) != self.dim or any(len(cell) != self.dim for cell in row):
                 raise DimensionError("structure tensor is not n*n*n")
-        # over F_p: the tensor as int residues, dense and as sparse (k, t) cells
-        self._int_table = self._cells = None
-        if field.kind == "prime":
-            self._int_table = [[_residues(field, cell) for cell in row] for row in self.table]
-            self._cells = [[[(k, t) for k, t in enumerate(cell) if t] for cell in row]
-                           for row in self._int_table]
+        # the tensor on raw values, dense and as the sparse (k, t) cells of e_i e_j
+        lift, zero, _, _ = field.codec()
+        self._raw_table = [_lift_all(field, lift, zero, self.dim, row) for row in self.table]
+        self._cells = [[[(k, t) for k, t in enumerate(cell) if t] for cell in row]
+                       for row in self._raw_table]
         self.label = label
         self.norm = norm
         self.unit = None
@@ -41,8 +43,6 @@ class Algebra:
             if not self.is_unit(unit):
                 raise DimensionError("declared unit is not a two-sided identity")
             self.unit = unit
-        self._left_basis_mats = None
-        self._right_basis_mats = None
 
     def __repr__(self):
         return f"Algebra({self.label or '?'}, dim={self.dim} over {self.field!r})"
@@ -61,43 +61,9 @@ class Algebra:
         return [c * u for u in self.unit]
 
     def multiply(self, x, y):
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionError("vector length mismatch")
-        if self._cells is not None:
-            field = self.field
-            return [Scalar(field, v) for v in _sparse_product(
-                self._cells, _residues(field, x), _residues(field, y), 0, field.p)]
-        out = zero_vector(self.field, self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            ti = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, t in enumerate(ti[j]):
-                    if t:
-                        out[k] = out[k] + c * t
-        return out
-
-    def _basis_mats(self, side):
-        """Left/right multiplication matrices of all basis vectors (cached)."""
-        cached = self._left_basis_mats if side == "left" else self._right_basis_mats
-        if cached is not None:
-            return cached
-        mats = []
-        for i in range(self.dim):
-            if side == "left":
-                cols = [self.table[i][j] for j in range(self.dim)]
-            else:
-                cols = [self.table[j][i] for j in range(self.dim)]
-            mats.append(Matrix.from_columns(self.field, cols))
-        if side == "left":
-            self._left_basis_mats = mats
-        else:
-            self._right_basis_mats = mats
-        return mats
+        lift, zero, _, lower = self.field.codec()
+        x, y = _lift_all(self.field, lift, zero, self.dim, (x, y))
+        return [lower(v) for v in _sparse_product(self._cells, x, y, zero)]
 
     def left_mul_matrix(self, a) -> Matrix:
         """Matrix of x -> a*x in the fixed basis."""
@@ -108,27 +74,21 @@ class Algebra:
         return self._mul_matrix(a, "right")
 
     def _mul_matrix(self, a, side):
-        mats = self._basis_mats(side)
-        rows = [[self.field.zero()] * self.dim for _ in range(self.dim)]
+        """Column j is a e_j (left) or e_j a (right), summed on the raw tensor."""
+        field, n, cells = self.field, self.dim, self._cells
+        lift, zero, _, lower = field.codec()
+        (a,) = _lift_all(field, lift, zero, n, (a,))
+        rows = [[zero] * n for _ in range(n)]
         for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for r in range(self.dim):
-                mrow = mats[i].rows[r]
-                row = rows[r]
-                for cidx in range(self.dim):
-                    if mrow[cidx]:
-                        row[cidx] = row[cidx] + ai * mrow[cidx]
-        return Matrix(self.field, rows)
+            if ai:
+                for j in range(n):
+                    for k, t in cells[i][j] if side == "left" else cells[j][i]:
+                        rows[k][j] += ai * t
+        return Matrix(field, [[lower(v) for v in row] for row in rows])
 
     def is_unit(self, e) -> bool:
-        for j in range(self.dim):
-            ej = self.basis(j)
-            if not vec_eq(self.multiply(e, ej), ej):
-                return False
-            if not vec_eq(self.multiply(ej, e), ej):
-                return False
-        return True
+        ident = Matrix.identity(self.field, self.dim)
+        return self.left_mul_matrix(e) == ident and self.right_mul_matrix(e) == ident
 
     def find_unit(self):
         """Solve e*e_j = e_j and e_j*e = e_j for all j; the two-sided unit is
@@ -149,13 +109,14 @@ class Algebra:
         return sol
 
     def with_unit_found(self):
-        """Return self with the unit slot populated if one exists."""
-        if self.unit is not None:
+        """This algebra with its unit: self when the unit is declared or none
+        exists, otherwise a copy (sharing the tensor) whose unit is set."""
+        e = None if self.unit is not None else self.find_unit()
+        if e is None:
             return self
-        e = self.find_unit()
-        if e is not None:
-            self.unit = e
-        return self
+        out = copy.copy(self)
+        out.unit = e
+        return out
 
     def element_from_string(self, text):
         """Parse a coordinate vector like "[1,0,-13/9,0]" (entries in the
@@ -172,7 +133,14 @@ class Algebra:
         """An element from a coordinate list, a "[...]" literal, or a scalar
         (a Scalar, an int or scalar text) read as that multiple of the unit."""
         if isinstance(val, list):
-            return [self.field.element(v) for v in val]
+            try:
+                vec = [self.field.parse(v) if isinstance(v, str) else self.field.element(v)
+                       for v in val]
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"bad coordinates {val!r}: {exc}") from None
+            if len(vec) != self.dim:
+                raise DimensionError(f"expected {self.dim} coordinates, got {len(vec)}")
+            return vec
         if isinstance(val, (int, Scalar)):
             return self.scalar_vec(val)
         text = str(val)
@@ -181,30 +149,42 @@ class Algebra:
         return self.scalar_vec(self.field.parse(text))
 
 
-def _residues(field, vec):
-    """The int residues mod p of a vector over the prime field `field`: a
-    Scalar of the field gives its payload, an int its residue, a zero entry
-    0; a nonzero entry of another field or type raises what a Scalar product
-    with it raises (MixedFieldError, TypeError)."""
+def _lift_all(field, lift, zero, n, vecs):
+    """The raw values of each vector over `field`, from the lift and raw zero
+    of field.codec(): a Scalar of the field gives its raw value, an int its
+    element's, a zero the raw zero; a nonzero entry of another field or type
+    raises what a Scalar product with it raises (MixedFieldError, TypeError).
+    Every vector must have length n (DimensionError before any entry)."""
+    if any(len(vec) != n for vec in vecs):
+        raise DimensionError("vector length mismatch")
     out = []
-    for v in vec:
-        if not v:
-            out.append(0)
-        elif isinstance(v, Scalar):
-            if v.field != field:
+    for vec in vecs:
+        raw = []
+        for v in vec:
+            if isinstance(v, Scalar) and (v.field is field or v.field == field):
+                raw.append(lift(v))
+            elif not v:
+                raw.append(zero)
+            elif isinstance(v, int):
+                raw.append(lift(field.element(v)))
+            elif isinstance(v, Scalar):
                 raise MixedFieldError(f"{field} vs {v.field}")
-            out.append(v.payload)
-        elif isinstance(v, int):
-            out.append(v % field.p)
-        else:
-            raise TypeError(f"not an element of {field}: {v!r}")
+            else:
+                raise TypeError(f"not an element of {field}: {v!r}")
+        out.append(raw)
     return out
+
+
+def _residues(field, vec):
+    """The raw values of one vector over `field` (see _lift_all)."""
+    lift, zero, _, _ = field.codec()
+    return _lift_all(field, lift, zero, len(vec), (vec,))[0]
 
 
 def _sparse_product(cells, x, y, zero, p=None):
     """x y on raw coordinates, from cells[i][j] = the nonzero (k, t) of
     e_i e_j; reduced mod p when p is given.  The one product kernel of
-    Algebra.multiply over F_p, twist() and verify_multiplicative."""
+    Algebra.multiply, associator, twist() and verify_multiplicative."""
     out = [zero] * len(cells)
     for xi, row in zip(x, cells):
         if xi:
@@ -239,17 +219,12 @@ def commutator(alg: Algebra, x, y):
 
 
 def associator(alg: Algebra, x, y, z):
-    """[x,y,z] = (xy)z - x(yz); over F_p on the int tensor."""
-    if alg._cells is None:
-        return vec_sub(alg.multiply(alg.multiply(x, y), z),
-                       alg.multiply(x, alg.multiply(y, z)))
-    if not len(x) == len(y) == len(z) == alg.dim:
-        raise DimensionError("vector length mismatch")
-    field, cells = alg.field, alg._cells
-    x, y, z = (_residues(field, v) for v in (x, y, z))
-    left = _sparse_product(cells, _sparse_product(cells, x, y, 0), z, 0)
-    right = _sparse_product(cells, x, _sparse_product(cells, y, z, 0), 0)
-    return [Scalar(field, (a - b) % field.p) for a, b in zip(left, right)]
+    """[x,y,z] = (xy)z - x(yz), on the raw tensor."""
+    cells, (lift, zero, _, lower) = alg._cells, alg.field.codec()
+    x, y, z = _lift_all(alg.field, lift, zero, alg.dim, (x, y, z))
+    left = _sparse_product(cells, _sparse_product(cells, x, y, zero), z, zero)
+    right = _sparse_product(cells, x, _sparse_product(cells, y, z, zero), zero)
+    return [lower(a - b) for a, b in zip(left, right)]
 
 
 def _associator_tensor(alg: Algebra):
@@ -270,7 +245,7 @@ def nucleus(alg: Algebra, side="all"):
              "middle": lambda i, j, k: assoc[j][i][k],    # [e_j, x, e_k]
              "right": lambda i, j, k: assoc[j][k][i]}     # [e_j, e_k, x]
     sides = {"all": list(slots), "center": list(slots), **{s: [s] for s in slots}}
-    if side not in sides:
+    if not isinstance(side, str) or side not in sides:
         raise DimensionError(f"unknown nucleus side {side!r}")
     assoc = _associator_tensor(alg)
     rows = []
@@ -314,10 +289,7 @@ def opposite(alg: Algebra) -> Algebra:
 
 
 def tensor_eq(a: Algebra, b: Algebra) -> bool:
-    if a.dim != b.dim or a.field != b.field:
-        return False
-    return all(vec_eq(a.table[i][j], b.table[i][j])
-               for i in range(a.dim) for j in range(a.dim))
+    return a.dim == b.dim and a.field == b.field and first_tensor_mismatch(a, b) is None
 
 
 def first_tensor_mismatch(a: Algebra, b: Algebra):
@@ -333,12 +305,7 @@ def vanishes_outside(alg: Algebra, coords) -> bool:
     """True when products of basis vectors indexed by `coords` have zero
     components outside `coords` (subalgebra-closure on a coordinate block)."""
     inside = set(coords)
-    for i in coords:
-        for j in coords:
-            for k in range(alg.dim):
-                if k not in inside and alg.table[i][j][k]:
-                    return False
-    return True
+    return all(k in inside for i in coords for j in coords for k, _ in alg._cells[i][j])
 
 
 def _prime_left_mul_mats(alg: Algebra):
@@ -351,8 +318,8 @@ def _prime_left_mul_mats(alg: Algebra):
     when it is singular over the scalar field."""
     field = alg.field
     p = field.characteristic
-    if alg._int_table is not None:
-        return p, [[list(r) for r in zip(*mat)] for mat in alg._int_table]
+    if field.kind == "prime":
+        return p, [[list(r) for r in zip(*mat)] for mat in alg._raw_table]
     k = 1
     while p**k < field.order():
         k += 1
@@ -364,10 +331,8 @@ def _prime_left_mul_mats(alg: Algebra):
             rows = [[0] * big for _ in range(big)]
             for b in range(k):
                 s = tpow[a] * tpow[b]
-                for l, prod in enumerate(alg.table[i]):
-                    for m, t in enumerate(prod):
-                        if not t:
-                            continue
+                for l, cell in enumerate(alg._cells[i]):
+                    for m, t in cell:
                         idx = field.element_index(s * t)
                         for d in range(k):
                             rows[m * k + d][l * k + b] = idx % p

@@ -246,9 +246,11 @@ class MapSpec:
         if isinstance(obj, MapSpec):
             return obj
         if isinstance(obj, dict):
-            kind = obj.get("map")
-            return cls(kind=kind, k=int(obj.get("k", 0)),
-                       q=obj.get("q"), matrix=obj.get("matrix"))
+            try:
+                k = int(obj.get("k", 0))
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"bad map power in {obj!r}: {exc}") from None
+            return cls(kind=obj.get("map"), k=k, q=obj.get("q"), matrix=obj.get("matrix"))
         text = str(obj)
         if ":" in text:
             head, arg = text.split(":", 1)
@@ -332,7 +334,9 @@ def make_map(alg: Algebra, spec) -> Matrix:
             raise HypothesisError(f"frobenius power fails at basis pair {witness}")
         return m
     if spec.kind in ("inner", "reflection"):
-        q = [field.parse(v) if isinstance(v, str) else field.element(v) for v in spec.q]
+        if not isinstance(spec.q, list):
+            raise SpecError(f"bad {spec.kind} map parameter {spec.q!r}")
+        q = alg.parse_element(spec.q)
         qinv = algebra_inverse(alg, q)
         if qinv is None:
             raise SingularMapError("inner map parameter is not invertible")
@@ -345,9 +349,10 @@ def make_map(alg: Algebra, spec) -> Matrix:
             raise HypothesisError("map is not a reflection (square is not id)")
         return m
     if spec.kind == "explicit":
-        rows = [[field.parse(v) if isinstance(v, str) else field.element(v)
-                 for v in row] for row in spec.matrix]
-        m = Matrix(field, rows)
+        if not (isinstance(spec.matrix, list) and len(spec.matrix) == n
+                and all(isinstance(row, list) for row in spec.matrix)):
+            raise SpecError(f"explicit map needs {n} rows, got {spec.matrix!r}")
+        m = Matrix(field, [alg.parse_element(row) for row in spec.matrix])
         if not m.is_invertible():
             raise SingularMapError("explicit map is singular")
         return m

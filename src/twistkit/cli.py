@@ -39,10 +39,17 @@ def _emit(doc: dict):
     print(json.dumps(doc, sort_keys=True, indent=1))
 
 
+def _read_spec(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"bad spec file: {exc}") from exc
+
+
 def _twist_spec(alg, args):
     if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            return twist_spec_from_json(alg, json.load(fh))
+        return twist_spec_from_json(alg, _read_spec(args.spec))
     if args.c is None or args.f is None or args.g is None:
         raise SpecError("either --spec or all of --variant/--c/--f/--g are required")
     return twist_spec_from_parts(alg, args.variant, args.c, args.f, args.g,
@@ -50,12 +57,7 @@ def _twist_spec(alg, args):
 
 
 def cmd_build(args, seed):
-    with open(args.spec, encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"bad spec file: {exc}") from exc
-    alg = build_from_spec(spec)
+    alg = build_from_spec(_read_spec(args.spec))
     if args.out:
         write_algebra(alg, args.out)
     _emit({"seed": seed, "label": alg.label, "dim": alg.dim,
@@ -267,10 +269,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args, seed)
-    except (SpecError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TwistkitError as exc:
+    except (TwistkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

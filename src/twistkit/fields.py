@@ -5,11 +5,18 @@ irreducible modulus m, elements stored as coefficient tuples (constant term
 first).  Everything is immutable after construction and safe to share.
 
 No floating point is used anywhere; rationals are `fractions.Fraction`.
+
+`field.codec()` = (lift, zero, p, lower) says what products compute on: lift
+maps a Scalar of the field to its raw value (int residue over F_p, Fraction
+over Q, the Scalar itself over F_{p^k}), zero is the raw zero, p reduces
+growing sums (None: never) and lower maps a raw result back to its Scalar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from operator import attrgetter
 
 from .errors import FieldConstructionError, MixedFieldError, SpecError
 
@@ -222,6 +229,14 @@ class Scalar:
         return self.field.format(self)
 
 
+_payload = attrgetter("payload")
+_FRACTION_ZERO = Fraction(0)
+
+
+def _itself(v):
+    return v
+
+
 class ScalarField:
     """Base class; concrete kinds: rationals, prime, extension."""
 
@@ -238,7 +253,7 @@ class ScalarField:
     def one(self):
         return self.element(1)
 
-    # subclasses implement element/_add/_neg/_mul/_inv/format/_parse
+    # subclasses implement element/_add/_neg/_mul/_inv/format/_parse/codec
 
     def parse(self, text):
         """An element from its textual (or JSON) encoding."""
@@ -275,6 +290,9 @@ class RationalField(ScalarField):
         if not a.payload:
             raise ZeroDivisionError("division by zero in Q")
         return Scalar(self, 1 / a.payload)
+
+    def codec(self):
+        return _payload, _FRACTION_ZERO, None, partial(Scalar, self)
 
     def format(self, a) -> str:
         f = a.payload
@@ -334,6 +352,9 @@ class PrimeField(ScalarField):
         if a.payload == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
         return Scalar(self, pow(a.payload, self.p - 2, self.p))
+
+    def codec(self):
+        return _payload, 0, self.p, self.element_at
 
     def format(self, a) -> str:
         return str(a.payload)
@@ -438,6 +459,9 @@ class ExtensionField(ScalarField):
         red = _poly_mod(s, list(self.modulus), self.p)
         return Scalar(self, tuple(red + [0] * (self.n - len(red))))
 
+    def codec(self):
+        return _itself, self.zero(), None, _itself
+
     def format(self, a) -> str:
         return "[" + ",".join(str(c) for c in a.payload) + "]"
 
@@ -503,14 +527,17 @@ def field_make(descriptor: dict) -> ScalarField:
         {"kind":"rational"} | {"kind":"prime","p":3}
         | {"kind":"ext","p":3,"n":2,"modulus":[1,0,1]}   (modulus optional)
     """
-    kind = descriptor.get("kind")
-    if kind == "rational":
-        return RationalField()
-    if kind == "prime":
-        return PrimeField(int(descriptor["p"]))
-    if kind == "ext":
-        return ExtensionField(int(descriptor["p"]), int(descriptor["n"]),
-                              descriptor.get("modulus"))
+    kind = descriptor.get("kind") if isinstance(descriptor, dict) else None
+    try:
+        if kind == "rational":
+            return RationalField()
+        if kind == "prime":
+            return PrimeField(int(descriptor["p"]))
+        if kind == "ext":
+            return ExtensionField(int(descriptor["p"]), int(descriptor["n"]),
+                                  descriptor.get("modulus"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FieldConstructionError(f"bad field descriptor {descriptor!r}: {exc}") from exc
     raise FieldConstructionError(f"unknown field kind {kind!r}")
 
 

@@ -103,7 +103,6 @@ def fixture_names():
 
 
 def fixture(name: str) -> Algebra:
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise SpecError(f"unknown fixture {name!r}; known: {fixture_names()}") from None
+    if not isinstance(name, str) or name not in _REGISTRY:
+        raise SpecError(f"unknown fixture {name!r}; known: {fixture_names()}")
+    return _REGISTRY[name]()

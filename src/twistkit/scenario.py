@@ -42,27 +42,55 @@ class ScenarioEnv:
     def algebra(self, name):
         try:
             return self.algebras[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise SpecError(f"unknown algebra label {name!r}") from None
 
     def field(self, name):
         try:
             return self.fields[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise SpecError(f"unknown field label {name!r}") from None
 
     def twist(self, name):
         try:
             return self.twists[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise SpecError(f"unknown twist label {name!r}") from None
 
 
 class _Step(dict):
-    """A scenario step whose missing keys are spec errors."""
+    """A scenario step whose missing keys, non-string ops and labels, and
+    ill-typed integers or indices are spec errors."""
+
+    def __init__(self, obj, what="step"):
+        if not isinstance(obj, dict):
+            raise SpecError(f"{what} is not an object: {obj!r}")
+        super().__init__(obj)
 
     def __missing__(self, key):
         raise SpecError(f"step lacks {key!r}")
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if key in ("op", "label") and not isinstance(value, str):
+            raise SpecError(f"step {key} is not a string: {value!r}")
+        return value
+
+    def int(self, key, *default):
+        value = self.get(key, *default) if default else self[key]
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise SpecError(f"step {key!r} is not an integer: {value!r}") from None
+
+    def indices(self, key, dim, count=None):
+        """The list under key as coordinate indices 0..dim-1 (count of them)."""
+        value, size = self[key], "" if count is None else f"{count} "
+        if not (isinstance(value, list) and count in (None, len(value))
+                and all(isinstance(i, int) and 0 <= i < dim for i in value)):
+            raise SpecError(f"step {key!r} is not a list of {size}indices in 0..{dim - 1}: "
+                            f"{value!r}")
+        return value
 
 
 def _fmt(value):
@@ -96,11 +124,21 @@ def _expect(step, key, computed, failures, idx):
                             f"expected {want_s} got {got_s}")
 
 
+# the ops that act on step["algebra"], looked up before anything else
+_ALGEBRA_OPS = {
+    "multiply", "mul-matrix", "find-unit", "commutator", "associator", "nucleus",
+    "isotope", "opposite", "norm-eval", "polarize", "similarity", "multiplicative", "map",
+    "twist", "division", "probe", "scan", "commutative-twist", "closed-form-inverse",
+    "closed-form-star", "derivations", "derivations-fixing", "is-automorphism",
+    "is-derivation", "inner-derivation", "subalgebra-closure"}
+
+
 def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
     step = _Step(step)
     op = step["op"]
     env.ops_covered.add(op)
     out = [f"[{idx:02d}] {op}"]
+    alg = env.algebra(step["algebra"]) if op in _ALGEBRA_OPS else None
 
     if op == "field":
         fld = field_make(step["spec"])
@@ -120,7 +158,7 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         _expect(step, "expect", val, failures, idx)
     elif op == "frobenius":
         fld = env.field(step["field"])
-        val = frobenius(fld.parse(step["x"]), int(step.get("k", 1)))
+        val = frobenius(fld.parse(step["x"]), step.int("k", 1))
         out.append(f"-> {val!r}")
         _expect(step, "expect", val, failures, idx)
     elif op == "field-norm":
@@ -140,13 +178,11 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
                    f"unit={_fmt(alg.unit)} norm={alg.norm.kind if alg.norm else 'none'}")
         _expect(step, "expect_dim", alg.dim, failures, idx)
     elif op == "multiply":
-        alg = env.algebra(step["algebra"])
         val = alg.multiply(alg.parse_element(step["x"]),
                            alg.parse_element(step["y"]))
         out.append(f"-> {format_vector(val)}")
         _expect(step, "expect", val, failures, idx)
     elif op == "mul-matrix":
-        alg = env.algebra(step["algebra"])
         a = alg.parse_element(step["a"])
         m = alg.left_mul_matrix(a) if step.get("side", "left") == "left" \
             else alg.right_mul_matrix(a)
@@ -155,36 +191,30 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         out.append(f"side={step.get('side', 'left')} det={m.det()!r}")
         _expect(step, "expect_det", m.det(), failures, idx)
     elif op == "find-unit":
-        alg = env.algebra(step["algebra"])
         val = alg.find_unit()
         out.append(f"-> {_fmt(val)}")
         _expect(step, "expect", val, failures, idx)
     elif op == "commutator":
-        alg = env.algebra(step["algebra"])
         val = commutator(alg, alg.parse_element(step["x"]),
                          alg.parse_element(step["y"]))
         out.append(f"-> {format_vector(val)}")
         _expect(step, "expect", val, failures, idx)
     elif op == "associator":
-        alg = env.algebra(step["algebra"])
         val = associator(alg, alg.parse_element(step["x"]),
                          alg.parse_element(step["y"]), alg.parse_element(step["z"]))
         out.append(f"-> {format_vector(val)}")
         _expect(step, "expect", val, failures, idx)
     elif op == "nucleus":
-        alg = env.algebra(step["algebra"])
         basis = nucleus(alg, step.get("side", "all"))
         out.append(f"side={step.get('side', 'all')} dim={len(basis)}")
         _expect(step, "expect_dim", len(basis), failures, idx)
     elif op == "isotope":
-        alg = env.algebra(step["algebra"])
         f = _resolve_map(env, alg, step["f"])
         g = _resolve_map(env, alg, step["g"])
         h = _resolve_map(env, alg, step["h"]) if step.get("h") else None
         env.algebras[step["label"]] = isotope(alg, f, g, h)
         out.append(f"label={step['label']}")
     elif op == "opposite":
-        alg = env.algebra(step["algebra"])
         env.algebras[step["label"]] = opposite(alg)
         out.append(f"label={step['label']}")
     elif op == "tensor-eq":
@@ -194,41 +224,35 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         out.append(f"-> {_fmt(val)}")
         _expect(step, "expect", val, failures, idx)
     elif op == "norm-eval":
-        alg = env.algebra(step["algebra"])
         val = alg.norm.evaluate(alg.parse_element(step["x"]))
         out.append(f"-> {val!r}")
         _expect(step, "expect", val, failures, idx)
     elif op == "polarize":
-        alg = env.algebra(step["algebra"])
         vs = [alg.parse_element(v) for v in step["vectors"]]
         val = alg.norm.polarize(*vs)
         out.append(f"-> {val!r}")
         _expect(step, "expect", val, failures, idx)
     elif op == "similarity":
-        alg = env.algebra(step["algebra"])
         m = _resolve_map(env, alg, step["map"])
         val = verify_similarity(alg.norm, m)
         out.append(f"-> {_fmt(val)}")
         _expect(step, "expect", val, failures, idx)
     elif op == "multiplicative":
-        alg = env.algebra(step["algebra"])
         val = verify_multiplicative(alg, alg.norm)
         out.append(f"-> {_fmt(val)}")
         _expect(step, "expect", val, failures, idx)
     elif op == "map":
-        alg = env.algebra(step["algebra"])
         m = _resolve_map(env, alg, step["spec"])
         env.maps[step["label"]] = m
         out.append(f"label={step['label']} det={m.det()!r}")
     elif op == "twist":
-        alg = env.algebra(step["algebra"])
         spec = TwistSpec(
-            variant=int(step.get("variant", 1)),
+            variant=step.int("variant", 1),
             c=alg.parse_element(step["c"]),
             f=_resolve_map(env, alg, step["f"]),
             g=_resolve_map(env, alg, step["g"]),
             h=_resolve_map(env, alg, step["h"]) if step.get("h") else None)
-        result = run_twist(alg, spec, probe_trials=int(step.get("probe", 0)),
+        result = run_twist(alg, spec, probe_trials=step.int("probe", 0),
                            seed=env.seed)
         env.twists[step["label"]] = result
         env.algebras[step["label"] + ".circ"] = result.circ
@@ -248,15 +272,15 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
     elif op == "iff-criterion":
         result = env.twist(step["twist"])
         alg = result.source
-        sf = _Step(step["subfield"])
+        sf = _Step(step["subfield"], "subfield")
         basis = [alg.parse_element(b) for b in sf["basis"]]
         sig = sf["sigma"]
         if isinstance(sig, dict) and "matrix" in sig:
             sigma = matrix_from_json(alg.field, sig["matrix"])
         else:
             sigma = _resolve_map(env, alg, sig)
-        sub = CyclicSubfield(basis=basis, sigma=sigma, degree=int(sf["degree"]),
-                             s=int(sf["s"]), t=int(sf["t"]))
+        sub = CyclicSubfield(basis=basis, sigma=sigma, degree=sf.int("degree"),
+                             s=sf.int("s"), t=sf.int("t"))
         val = iff_criterion(alg, result.spec, sub)
         out.append(f"-> {val}")
         _expect(step, "expect", val, failures, idx)
@@ -268,29 +292,25 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         out.append(f"label={step['label']} unit={_fmt(result.star.unit)}")
         _expect(step, "expect_unit", result.star.unit, failures, idx)
     elif op == "division":
-        alg = env.algebra(step["algebra"])
         status, witness = division_exhaustive(alg)
         text = status if status == "certified" else zero_divisor_text(witness)
         out.append(f"-> {text}")
         _expect(step, "expect", text, failures, idx)
     elif op == "probe":
-        alg = env.algebra(step["algebra"])
-        rep = division_probe_char0(alg, int(step.get("trials", 100)), seed=env.seed)
+        rep = division_probe_char0(alg, step.int("trials", 100), seed=env.seed)
         out.append(f"seed={rep.seed} -> {rep.describe()}")
         _expect(step, "expect", rep.describe(), failures, idx)
     elif op == "scan":
-        alg = env.algebra(step["algebra"])
         f = _resolve_map(env, alg, step["f"])
         g = _resolve_map(env, alg, step["g"])
-        rep = scan_c(alg, int(step.get("variant", 1)), f, g, seed=env.seed,
+        rep = scan_c(alg, step.int("variant", 1), f, g, seed=env.seed,
                      f_desc=str(step["f"]), g_desc=str(step["g"]))
         out.append(f"division={rep.division_count()} total={len(rep.records)}")
         lines.extend("    " + l for l in rep.lines())
         _expect(step, "expect_division", rep.division_count(), failures, idx)
     elif op == "commutative-twist":
-        alg = env.algebra(step["algebra"])
         sigma = _resolve_map(env, alg, step.get("sigma", "frob:1"))
-        rep = commutative_twist(alg, sigma, int(step["s"]), int(step["t"]),
+        rep = commutative_twist(alg, sigma, step.int("s"), step.int("t"),
                                 alg.parse_element(step["a"]),
                                 alg.parse_element(step["b"]),
                                 alg.parse_element(step["c"]))
@@ -302,23 +322,21 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         _expect(step, "expect_shortcut", rep.closed_form_matches, failures, idx)
         _expect(step, "expect_division", rep.division_status, failures, idx)
     elif op == "closed-form-inverse":
-        alg = env.algebra(step["algebra"])
         side = step.get("side", "left")
         agree, composed = inverse_check(alg, step["kind"], step["c"],
                                         _resolve_map(env, alg, step["map"]),
-                                        int(step.get("n", 2)), side)
+                                        step.int("n", 2), side)
         out.append(f"kind={step['kind']} side={side} matches_generic={_fmt(agree)} "
                    f"composes_to_id={_fmt(composed)}")
         _expect(step, "expect_match", agree, failures, idx)
     elif op == "closed-form-star":
-        alg = env.algebra(step["algebra"])
         maps = {k: _resolve_map(env, alg, step[k]) for k in ("f", "g", "tau") if k in step}
         cmp, fields = star_case(alg, step["case"], step["c"], **maps)
         out.extend(f"{k}={_fmt(v)}" for k, v in fields if k != "first_mismatch")
         if step.get("spot"):
             if cmp.closed_verbatim is None:
                 raise SpecError(f"case {step['case']!r} has no verbatim reading to spot")
-            i, j = step["spot"]
+            i, j = step.indices("spot", alg.dim, 2)
             gen, verb = cmp.generic.table[i][j], cmp.closed_verbatim.table[i][j]
             out.append(f"generic[{i},{j}]={format_vector(gen)} "
                        f"verbatim[{i},{j}]={format_vector(verb)}")
@@ -326,29 +344,24 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
             _expect(step, "expect_generic_spot", gen, failures, idx)
         _expect(step, "expect_match", cmp.matches, failures, idx)
     elif op == "derivations":
-        alg = env.algebra(step["algebra"])
         space = derivations(alg)
         out.append(f"dim={space.dim}")
         _expect(step, "expect_dim", space.dim, failures, idx)
     elif op == "derivations-fixing":
-        alg = env.algebra(step["algebra"])
         space = derivations_fixing(alg, alg.parse_element(step["c"]))
         out.append(f"dim={space.dim}")
         _expect(step, "expect_dim", space.dim, failures, idx)
     elif op == "is-automorphism":
-        alg = env.algebra(step["algebra"])
         m = _resolve_map(env, alg, step["map"])
         ok, witness = is_automorphism(alg, m)
         out.append(f"-> {_fmt(ok)} witness={_fmt(list(witness)) if witness else 'null'}")
         _expect(step, "expect", ok, failures, idx)
     elif op == "is-derivation":
-        alg = env.algebra(step["algebra"])
         m = _resolve_map(env, alg, step["map"])
         ok, witness = is_derivation(alg, m)
         out.append(f"-> {_fmt(ok)} witness={_fmt(list(witness)) if witness else 'null'}")
         _expect(step, "expect", ok, failures, idx)
     elif op == "inner-derivation":
-        alg = env.algebra(step["algebra"])
         m = inner_derivation(alg, alg.parse_element(step["a"]))
         env.maps[step["label"]] = m
         out.append(f"label={step['label']}")
@@ -372,13 +385,12 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
         _expect(step, "expect_all_pass", rep["hypothesis_members_all_pass"],
                 failures, idx)
         if "expect_min_dim" in step:
-            ok = rep.get("der_dim", -1) >= int(step["expect_min_dim"])
+            ok = rep.get("der_dim", -1) >= step.int("expect_min_dim")
             if not ok:
                 failures.append(f"FAIL [{idx:02d}] containment.expect_min_dim: "
                                 f"dim {rep.get('der_dim')} < {step['expect_min_dim']}")
     elif op == "subalgebra-closure":
-        alg = env.algebra(step["algebra"])
-        val = vanishes_outside(alg, list(step["coords"]))
+        val = vanishes_outside(alg, step.indices("coords", alg.dim))
         out.append(f"coords={step['coords']} -> {_fmt(val)}")
         _expect(step, "expect", val, failures, idx)
     else:
@@ -389,6 +401,9 @@ def run_step(env: ScenarioEnv, step: dict, idx: int, lines, failures):
 
 def scenario_run(scenario: dict, seed=0, env: ScenarioEnv | None = None):
     """Execute a scenario; returns (report_text, ok, env)."""
+    if not (isinstance(scenario, dict) and isinstance(scenario.get("steps", []), list)
+            and isinstance(scenario.get("notes", []), list)):
+        raise SpecError("not a scenario: an object with a list of steps is expected")
     env = env or ScenarioEnv(seed=seed)
     name = scenario.get("name", "?")
     lines = [f"# scenario {name} seed={seed}"]
@@ -399,8 +414,9 @@ def scenario_run(scenario: dict, seed=0, env: ScenarioEnv | None = None):
         try:
             run_step(env, step, idx, lines, failures)
         except TwistkitError as exc:
+            step = step if isinstance(step, dict) else {}
             op = step.get("op")
-            if step.get("expect_error"):
+            if step.get("expect_error") and isinstance(op, str):
                 lines.append(f"[{idx:02d}] {op} error={exc}")
                 env.ops_covered.add(op)
             else:

@@ -36,6 +36,8 @@ def vector_to_json(v):
 
 
 def vector_from_json(field, obj):
+    if not isinstance(obj, list):
+        raise SpecError(f"not a coordinate list: {obj!r}")
     return [field.parse(x) for x in obj]
 
 
@@ -44,6 +46,8 @@ def matrix_to_json(m: Matrix):
 
 
 def matrix_from_json(field, obj) -> Matrix:
+    if not (isinstance(obj, list) and obj):
+        raise SpecError(f"not a matrix (a list of rows): {obj!r}")
     return Matrix(field, [vector_from_json(field, r) for r in obj])
 
 
@@ -68,6 +72,8 @@ def norm_to_json(norm):
 def norm_from_json(alg: Algebra, obj):
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        raise SpecError(f"norm is not an object: {obj!r}")
     kind = obj.get("kind")
     cert = obj.get("certificate", "unknown")
     if kind == "gram":
@@ -172,11 +178,12 @@ def build_from_spec(obj) -> Algebra:
       {"build":"cyclic","K":{...field or number_field...},"d":"3"}
       {"fixture":"H"}
     """
+    from .fixtures import fixture
     if isinstance(obj, str):
-        from .fixtures import fixture
         return fixture(obj)
+    if not isinstance(obj, dict):
+        raise SpecError(f"builder spec is not an object or a fixture name: {obj!r}")
     if "fixture" in obj:
-        from .fixtures import fixture
         return fixture(obj["fixture"])
     kind = obj.get("build")
     try:

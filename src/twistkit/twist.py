@@ -19,12 +19,11 @@ from .algebra import (Algebra, _sparse_product, first_tensor_mismatch, isotope,
 from .builders import make_map
 from .errors import (CapExceeded, DimensionError, HypothesisError,
                      KaplanskiError, MixedFieldError, SingularMapError)
-from .fields import Scalar
 from .forms import (CERT_UNKNOWN, EXHAUSTIVE_CAP, verify_multiplicative,
                     verify_similarity)
 from .linalg import (Matrix, det_mod_p, first_kernel_vector_mod_p,
                      format_vector, in_span, vec_add, vec_eq, vec_is_zero, vec_scale,
-                     vector_at, zero_vector)
+                     vector_at)
 
 SCAN_CAP = 2**14
 
@@ -48,6 +47,8 @@ class TwistSpec:
     def __post_init__(self):
         if not 1 <= self.variant <= 12:
             raise DimensionError(f"variant must be 1..12, got {self.variant}")
+        if self.pre_isotope is not None and len(self.pre_isotope) != 3:
+            raise DimensionError(f"a pre-isotope takes 3 maps, got {len(self.pre_isotope)}")
 
 
 # The subtracted term of variants k and k + 6 (see twist()); m is the product.
@@ -61,18 +62,6 @@ _BRACKETINGS = (
 )
 
 
-def _raw(field):
-    """(lift, zero, p, lower) on `field`: int payloads reduced mod p after
-    each product on F_p, Fraction payloads on Q (p None), the Scalars
-    themselves on F_{p^k}; lower turns a raw value into its Scalar."""
-    if field.kind == "ext":
-        return (lambda s: s), field.zero(), None, (lambda v: v)
-    if field.kind == "prime":
-        p = field.p
-        return (lambda s: s.payload), 0, p, (lambda v: Scalar(field, v % p))
-    return (lambda s: s.payload), 0, None, (lambda v: Scalar(field, v))
-
-
 def twist(alg: Algebra, spec: TwistSpec) -> Algebra:
     """Structure tensor of the twisted product x o y.
 
@@ -83,8 +72,8 @@ def twist(alg: Algebra, spec: TwistSpec) -> Algebra:
       4/10: xy - h(p (c q))   5/11: xy - h((p q) c)   6/12: xy - h(p (q c))
 
     With a pre-isotope (h1,h2,h3) all products are taken in A^(h1,h2,h3).
-    It runs on raw scalars (see _raw), over F_p on the int tensor of the
-    base, and lowers each entry to a Scalar once.
+    It runs on the raw tensor of the base (fields codec) and lowers each
+    entry to a Scalar once.
     """
     base = alg
     if spec.pre_isotope is not None:
@@ -96,7 +85,7 @@ def twist(alg: Algebra, spec: TwistSpec) -> Algebra:
     n = alg.dim
     if len(spec.c) != n:
         raise DimensionError("twist element has wrong length")
-    lift, zero, p, lower = _raw(alg.field)
+    lift, zero, p, lower = alg.field.codec()
     c = [lift(alg.field.element(v)) for v in spec.c]
     for m in (spec.f, spec.g, spec.h):
         if m is not None and m.field != alg.field:
@@ -105,14 +94,10 @@ def twist(alg: Algebra, spec: TwistSpec) -> Algebra:
             raise DimensionError("twist map has wrong size")
     fcols, gcols = ([[lift(a) for a in col] for col in m.columns()] for m in (spec.f, spec.g))
     hrows = None if spec.h is None else [[lift(a) for a in row] for row in spec.h.rows]
-    if base._cells is not None:
-        dense, consts = base._int_table, base._cells
-    else:
-        dense = [[[lift(t) for t in cell] for cell in row] for row in base.table]
-        consts = [[[(k, t) for k, t in enumerate(cell) if t] for cell in row] for row in dense]
+    dense, cells = base._raw_table, base._cells
 
     def mul(x, y):
-        return _sparse_product(consts, x, y, zero, p)
+        return _sparse_product(cells, x, y, zero, p)
 
     def happly(v):
         if hrows is None:
@@ -229,12 +214,7 @@ def iff_criterion(alg: Algebra, spec: TwistSpec, sub: CyclicSubfield):
     if in_span(kbasis, cvec, fld) is None:
         return INAPPLICABLE
 
-    def embed(coords):
-        out = zero_vector(fld, alg.dim)
-        for co, bvec in zip(coords, kbasis):
-            if co:
-                out = [o + co * b for o, b in zip(out, bvec)]
-        return out
+    embed = Matrix.from_columns(fld, kbasis).apply
 
     def restriction_matches(m, power):
         """m|_K = a sigma^power for the a determined by m(1_K)."""

@@ -1,11 +1,12 @@
-"""The `Scalar` paths that the prime-field int kernels replace, kept as the
+"""The `Scalar` paths that the raw-payload kernels replace, kept as the
 reference for the differential tests: the product loop of
-`Algebra.multiply`, the `_gauss_echelon` determinant and the `Scalar`
+`Algebra.multiply`, the associator on it, the cached-basis
+`left/right_mul_matrix`, the `_gauss_echelon` determinant and the `Scalar`
 product of `Matrix`, and the `Scalar` build of `_prime_left_mul_mats`.
 """
 
 from twistkit.errors import DimensionError
-from twistkit.linalg import Matrix, _gauss_echelon, zero_vector
+from twistkit.linalg import Matrix, _gauss_echelon, vec_sub, zero_vector
 
 
 def scalar_multiply(alg, x, y):
@@ -25,6 +26,41 @@ def scalar_multiply(alg, x, y):
                 if t:
                     out[k] = out[k] + c * t
     return out
+
+
+def scalar_associator(alg, x, y, z):
+    """(xy)z - x(yz) on the Scalar product loop."""
+    return vec_sub(scalar_multiply(alg, scalar_multiply(alg, x, y), z),
+                   scalar_multiply(alg, x, scalar_multiply(alg, y, z)))
+
+
+def basis_mats(alg, side):
+    """Left/right multiplication matrices of all basis vectors."""
+    mats = []
+    for i in range(alg.dim):
+        if side == "left":
+            cols = [alg.table[i][j] for j in range(alg.dim)]
+        else:
+            cols = [alg.table[j][i] for j in range(alg.dim)]
+        mats.append(Matrix.from_columns(alg.field, cols))
+    return mats
+
+
+def basis_mul_matrix(alg, a, side):
+    """L_a (side "left") or R_a as the a-combination of the basis matrices:
+    the body of the cached-basis `Algebra._mul_matrix`, built afresh."""
+    mats = basis_mats(alg, side)
+    rows = [[alg.field.zero()] * alg.dim for _ in range(alg.dim)]
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for r in range(alg.dim):
+            mrow = mats[i].rows[r]
+            row = rows[r]
+            for cidx in range(alg.dim):
+                if mrow[cidx]:
+                    row[cidx] = row[cidx] + ai * mrow[cidx]
+    return Matrix(alg.field, rows)
 
 
 def scalar_det(m):
@@ -85,8 +121,13 @@ class ScalarRegrep:
 
 
 def on_scalar_paths(monkeypatch):
-    """Route Algebra.multiply and Matrix.det through the Scalar paths until
-    the monkeypatch context ends (for calling the other reference modules)."""
+    """Route Algebra.multiply, left/right_mul_matrix and Matrix.det through
+    the Scalar paths until the monkeypatch context ends (for calling the
+    other reference modules)."""
     from twistkit.algebra import Algebra
     monkeypatch.setattr(Algebra, "multiply", scalar_multiply)
+    monkeypatch.setattr(Algebra, "left_mul_matrix",
+                        lambda alg, a: basis_mul_matrix(alg, a, "left"))
+    monkeypatch.setattr(Algebra, "right_mul_matrix",
+                        lambda alg, a: basis_mul_matrix(alg, a, "right"))
     monkeypatch.setattr(Matrix, "det", scalar_det)
