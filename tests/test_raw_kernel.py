@@ -57,6 +57,12 @@ def vector(field, n, rng):
     return [entry() for _ in range(n)]
 
 
+def left_unit_algebra():
+    """e_0 e_j = e_j, e_1 e_0 = e_1 e_1 = 0: e_0 is a left unit only."""
+    one, zero = F7.one(), F7.zero()
+    return Algebra(F7, [[[one, zero], [zero, one]], [[zero, zero], [zero, zero]]])
+
+
 def f9_doubling():
     return cayley_dickson(ground_algebra(F9), F9.element_at(5), label="CD(F9)")
 
@@ -69,6 +75,7 @@ ALGEBRAS = {
     "random-F9": lambda: random_algebra(F9, 3, random.Random(9)),
     "random-F25": lambda: random_algebra(F25, 3, random.Random(25)),
     "F27": fixtures.f27_algebra, "random-F7": lambda: random_algebra(F7, 4, random.Random(7)),
+    "left-unit-F7": left_unit_algebra,
 }
 
 
