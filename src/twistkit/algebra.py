@@ -346,23 +346,36 @@ def left_mul_lines(alg: Algebra):
     nonzero F_p coordinate is 1, in increasing canonical index.
 
     These are the first members of the F_p lines {lambda x}, and L_{lambda x}
-    = lambda L_x, so they stand for every nonzero x.  Raising F_p digit j by
-    1 mod p adds mats[j], so each step of the odometer costs one addition."""
-    p, mats = _prime_left_mul_mats(alg)
+    = lambda L_x, so they stand for every nonzero x."""
+    return _mat_lines(*_prime_left_mul_mats(alg))
 
+
+def _mat_lines(p, mats):
+    """left_mul_lines from the int matrices (p, mats) of _prime_left_mul_mats:
+    the lines with highest digit h run mats[h] + sum_{j<h} d_j mats[j]."""
+    for h, top in enumerate(mats):
+        for step, lx in enumerate(_odometer(top, mats[:h], p)):
+            yield p**h + step, lx
+
+
+def _odometer(start, steps, p):
+    """Yield start + sum_j d_j steps[j] mod p (int matrices, as rows) for
+    every digit vector d in increasing index sum_j d_j p^j.
+
+    Each value raises digit j by 1 with carry, adding steps[j]; a digit that
+    wraps from p - 1 to 0 adds its step a p-th time, which is 0 mod p, so a
+    value costs one matrix addition per digit that moves."""
     def add(u, v):
         return [[(a + b) % p for a, b in zip(ru, rv)] for ru, rv in zip(u, v)]
 
-    for h, top in enumerate(mats):
-        lx = top
-        digits = [0] * h
-        for step in range(p**h):
-            if step:
-                j = 0
-                while digits[j] == p - 1:
-                    digits[j] = 0
-                    lx = add(lx, mats[j])
-                    j += 1
-                digits[j] += 1
-                lx = add(lx, mats[j])
-            yield p**h + step, lx
+    value, digits = start, [0] * len(steps)
+    yield value
+    for _ in range(p**len(steps) - 1):
+        j = 0
+        while digits[j] == p - 1:
+            digits[j] = 0
+            value = add(value, steps[j])
+            j += 1
+        digits[j] += 1
+        value = add(value, steps[j])
+        yield value

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import Algebra
+from .algebra import Algebra, _lift_all, _sparse_product
 from .errors import CapExceeded, DimensionError, HypothesisError
 from .linalg import Matrix, vec_eq, vec_is_zero
 
@@ -166,15 +166,25 @@ def is_automorphism(alg: Algebra, m: Matrix):
 
 
 def is_isomorphism(src: Algebra, dst: Algebra, m: Matrix):
-    """(ok, witness): invertible and m(x .src. y) = m(x) .dst. m(y)."""
+    """(ok, witness): invertible and m(x .src. y) = m(x) .dst. m(y).
+
+    Checked on the basis pairs in order, on raw values (fields codec):
+    m(e_i e_j), summed from src's cells on the raw columns of m, against
+    dst's product of columns i and j; the witness is the first pair that
+    differs."""
     if src.dim != dst.dim or src.field != dst.field:
         raise DimensionError("isomorphism candidates need equal ambient spaces")
     if not m.is_invertible():
         return False, "singular"
-    cols = m.columns()
-    for i in range(src.dim):
-        for j in range(src.dim):
-            if not vec_eq(m.apply(src.table[i][j]), dst.multiply(cols[i], cols[j])):
+    n = src.dim
+    lift, zero, p, _ = src.field.codec()
+    cols = _lift_all(src.field, lift, zero, n, m.columns())
+    for i, (row, ci) in enumerate(zip(src._cells, cols)):
+        for j, (cell, cj) in enumerate(zip(row, cols)):
+            image = [sum((t * cols[k][r] for k, t in cell), zero) for r in range(n)]
+            if p is not None:
+                image = [a % p for a in image]
+            if image != _sparse_product(dst._cells, ci, cj, zero, p):
                 return False, (i, j)
     return True, None
 

@@ -26,6 +26,7 @@ from operator import mul
 
 from .algebra import (_associator_tensor, _prime_left_mul_mats, _residues,
                       _sparse_product, tensor_eq)
+from .analyzer import is_automorphism
 from .errors import DimensionError, HypothesisError, SingularMapError
 from .fields import Scalar
 from .linalg import (Matrix, basis_vector, det_mod_p, vec_add, vec_is_zero,
@@ -251,13 +252,24 @@ def _check_points(field, dim, degree, power, what):
     return pts
 
 
-def verify_similarity(norm: NormForm, f: Matrix):
+def verify_similarity(norm: NormForm, f: Matrix, routes=None):
     """Exact similarity factor a with N(f(x)) = a N(x) for all x, or None.
 
-    Degree 2 (char != 2): checked on Gram matrices, F^T G F = a G.  Otherwise
-    on the points of _check_points: N o f - a N is a degree-d form, so it
-    vanishes everywhere once it vanishes there.
+    Degree 2 (char != 2): checked on Gram matrices, F^T G F = a G ("gram").
+    Otherwise, after the cap of _check_points, proved by _automorphism_factor
+    ("automorphism") when it applies, else checked on those points
+    ("points"): N o f - a N is a degree-d form, so it vanishes everywhere
+    once it vanishes there.  `routes`, when given, is a list that gets the
+    route that decided appended.
     """
+    alpha, route = _similarity(norm, f)
+    if routes is not None:
+        routes.append(route)
+    return alpha
+
+
+def _similarity(norm: NormForm, f: Matrix):
+    """(factor or None, route) for verify_similarity."""
     if not f.is_invertible():
         raise SingularMapError("similarity candidate is singular")
     if norm.degree == 2 and norm.field.characteristic != 2:
@@ -272,27 +284,54 @@ def verify_similarity(norm: NormForm, f: Matrix):
             if alpha is not None:
                 break
         if alpha is None:
-            return None
-        return alpha if m == g.scale(alpha) else None
-    alpha = None
+            return None, "gram"
+        return (alpha if m == g.scale(alpha) else None), "gram"
+    pts = _check_points(norm.field, norm.dim, norm.degree, 1, "similarity")
+    alpha = _automorphism_factor(norm, f)
+    if alpha is not None:
+        return alpha, "automorphism"
     pending = []
-    for x in _check_points(norm.field, norm.dim, norm.degree, 1, "similarity"):
+    for x in pts:
         nx = norm.evaluate(x)
         nfx = norm.evaluate(f.apply(x))
         if not nx:
             if alpha is None:
                 pending.append(nfx)
             elif nfx:
-                return None
+                return None, "points"
             continue
         if alpha is None:
             alpha = nfx / nx
             if not alpha or any(pending):
-                return None
+                return None, "points"
             pending = None
         if nfx != alpha * nx:
-            return None
-    return alpha
+            return None, "points"
+    return alpha, "points"
+
+
+def _automorphism_factor(norm: NormForm, f: Matrix):
+    """N(a) for a = f(1) when that proves N(f(x)) = N(a) N(x), or None.
+
+    It applies to a regrep norm N = det L on an algebra A with a unit and
+    vanishing basis associators, where L_a is invertible and sigma =
+    L_a^-1 f is an automorphism of A.  Then f(x) = a sigma(x), and
+    L_{sigma x} = sigma L_x sigma^-1, so N(f(x)) = det(L_a L_{sigma x}) =
+    N(a) N(x)."""
+    alg = norm.data["algebra"] if norm.kind == "regrep" else None
+    if alg is None or alg.unit is None or not _is_associative(alg):
+        return None
+    a = f.apply(alg.unit)
+    la = alg.left_mul_matrix(a)
+    if not la.is_invertible() or not is_automorphism(alg, la.inverse() @ f)[0]:
+        return None
+    return norm.evaluate(a)
+
+
+def _is_associative(alg) -> bool:
+    """Every basis associator of alg vanishes (the tensor nucleus reads)."""
+    return all(vec_is_zero(v) for plane in _associator_tensor(alg)
+               for row in plane for v in row)
 
 
 def _multiplicativity_proof(alg, norm: NormForm):
@@ -301,35 +340,62 @@ def _multiplicativity_proof(alg, norm: NormForm):
     "associative-regrep": N is det L_x for alg's structure tensor and every
     basis associator of alg vanishes, so L_{xy} = L_x L_y.
     "gram-composition" (degree 2, char != 2): L_x^T G L_x = N(x) G at the
-    points of determining_points; each entry of the difference is a
-    quadratic form in x, which those points fix, and the identity gives
-    N(xy) = y^T L_x^T G L_x y = N(x) N(y)."""
+    points of determining_points (_gram_composes); each entry of the
+    difference is a quadratic form in x, which those points fix, and the
+    identity gives N(xy) = y^T L_x^T G L_x y = N(x) N(y)."""
     if norm.kind == "regrep" and tensor_eq(norm.data["algebra"], alg):
-        if all(vec_is_zero(v) for plane in _associator_tensor(alg)
-               for row in plane for v in row):
+        if _is_associative(alg):
             return "associative-regrep"
     elif norm.kind == "gram" and norm.degree == 2 and alg.field.characteristic != 2:
-        g = norm.gram()
-        for x in determining_points(alg.field, alg.dim, 2):
-            lx = alg.left_mul_matrix(x)
-            if lx.transpose() @ g @ lx != g.scale(norm.evaluate(x)):
-                return None
-        return "gram-composition"
+        if _gram_composes(alg, norm.gram()):
+            return "gram-composition"
     return None
 
 
-def verify_multiplicative(alg, norm: NormForm) -> bool:
+def _gram_composes(alg, g: Matrix) -> bool:
+    """L_x^T G L_x = N(x) G at the points e_i and e_i + e_j, for N(x) =
+    x^T G x, read off the basis blocks P_ij = L_{e_i}^T G L_{e_j}, whose
+    entry (a, b) is (e_i e_a)^T G (e_j e_b): at e_i the identity is
+    P_ii = G_ii G, and given those, at e_i + e_j it is P_ij + P_ji =
+    2 G_ij G.  Summed on alg's raw cells."""
+    n, cells = alg.dim, alg._cells
+    lift, zero, p, _ = alg.field.codec()
+    graw = [[lift(v) for v in row] for row in g.rows]
+
+    def form(u, v):
+        """u^T G v for the sparse cells u, v."""
+        return sum((t * s * graw[k][l] for k, t in u for l, s in v if graw[k][l]), zero)
+
+    for i in range(n):
+        for j in range(i, n):
+            scale = graw[i][i] if i == j else 2 * graw[i][j]
+            for a in range(n):
+                for b in range(n):
+                    lhs = form(cells[i][a], cells[j][b])
+                    if i != j:
+                        lhs += form(cells[j][a], cells[i][b])
+                    rhs = scale * graw[a][b]
+                    if (lhs - rhs) % p if p is not None else lhs != rhs:
+                        return False
+    return True
+
+
+def verify_multiplicative(alg, norm: NormForm, routes=None) -> bool:
     """Exact check of N(xy) = N(x) N(y).  After the cap of _check_points, a
     route of _multiplicativity_proof (associative-regrep, gram-composition)
     proves it without the pair walk.  Otherwise every pair of the points of
-    _check_points is walked: for fixed y both sides are degree-d forms in x,
-    and for fixed x in y.  N is evaluated once per point and once per pair;
-    a prime-field regrep norm is evaluated on int residues throughout.  A
-    False always comes from a failing pair."""
+    _check_points is walked ("points"): for fixed y both sides are degree-d
+    forms in x, and for fixed x in y.  N is evaluated once per point and
+    once per pair; a prime-field regrep norm is evaluated on int residues
+    throughout.  A False always comes from a failing pair.  `routes`, when
+    given, is a list that gets the route that decided appended."""
     if alg.dim != norm.dim or alg.field != norm.field:
         raise DimensionError("norm does not match the algebra")
     pts = _check_points(alg.field, alg.dim, norm.degree, 2, "multiplicativity")
-    if _multiplicativity_proof(alg, norm):
+    route = _multiplicativity_proof(alg, norm)
+    if routes is not None:
+        routes.append(route or "points")
+    if route:
         return True
     pts = list(pts)
     coeffs = norm.data.get("int_coeffs")

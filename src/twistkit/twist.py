@@ -14,8 +14,9 @@ import random
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
-from .algebra import (Algebra, _sparse_product, first_tensor_mismatch, isotope,
-                      left_mul_lines, opposite)
+from .algebra import (Algebra, _mat_lines, _odometer, _prime_left_mul_mats,
+                      _sparse_product, first_tensor_mismatch, isotope, left_mul_lines,
+                      opposite)
 from .builders import make_map
 from .errors import (CapExceeded, DimensionError, HypothesisError,
                      KaplanskiError, MixedFieldError, SingularMapError)
@@ -115,16 +116,18 @@ def twist(alg: Algebra, spec: TwistSpec) -> Algebra:
     return Algebra(alg.field, table, label=label)
 
 
-def ensure_multiplicative(alg: Algebra) -> bool:
-    """Verify (once, cached on the form) that the attached norm is
-    multiplicative for the algebra."""
+def ensure_multiplicative(alg: Algebra):
+    """The route that proves the attached norm multiplicative for the
+    algebra (verify_multiplicative, run once and cached on the form), or
+    None when it is not or no norm is attached."""
     if alg.norm is None:
-        return False
+        return None
     cached = getattr(alg.norm, "_mult_verified", None)
     if cached is None:
-        cached = verify_multiplicative(alg, alg.norm)
+        routes = []
+        cached = verify_multiplicative(alg, alg.norm, routes) and routes[0]
         alg.norm._mult_verified = cached
-    return cached
+    return cached or None
 
 
 @dataclass
@@ -134,6 +137,10 @@ class CriterionReport:
     norm_of_c: object = None
     factors: dict = dc_field(default_factory=dict)
     reason: str = ""
+    # the certificate route behind each part: "multiplicative" and each
+    # factor's name; not compared, since a verdict is the same whatever
+    # route proved it
+    routes: dict = dc_field(default_factory=dict, compare=False)
 
     def at(self, norm, c) -> CriterionReport:
         """The report for another c with the same maps: N(c) against this
@@ -143,7 +150,7 @@ class CriterionReport:
         nc = norm.evaluate(c)
         verdict = GUARANTEED if nc != self.threshold else NOT_GUARANTEED
         return CriterionReport(verdict, threshold=self.threshold, norm_of_c=nc,
-                               factors=self.factors)
+                               factors=self.factors, routes=self.routes)
 
 
 def norm_criterion(alg: Algebra, spec: TwistSpec) -> CriterionReport:
@@ -153,13 +160,17 @@ def norm_criterion(alg: Algebra, spec: TwistSpec) -> CriterionReport:
     Only N(c) depends on c.  The rest (certificate, multiplicativity, the
     similarity factors, the threshold) is computed here once, and
     CriterionReport.at gives the verdict for another c from it; scan_c
-    calls this once per scan and `at` for every further c."""
+    calls this once per scan and `at` for every further c.  The report
+    records the route of each proof it ran (ensure_multiplicative,
+    verify_similarity)."""
     if alg.norm is None:
         return CriterionReport(INAPPLICABLE, reason="no norm attached")
     if alg.norm.certificate == CERT_UNKNOWN:
         return CriterionReport(INAPPLICABLE, reason="no anisotropy certificate")
-    if not ensure_multiplicative(alg):
+    route = ensure_multiplicative(alg)
+    if route is None:
         return CriterionReport(INAPPLICABLE, reason="norm is not multiplicative")
+    routes = {"multiplicative": route}
     factors = {}
     named = [("alpha", spec.f), ("beta", spec.g)]
     if spec.h is not None:
@@ -167,14 +178,16 @@ def norm_criterion(alg: Algebra, spec: TwistSpec) -> CriterionReport:
     if spec.pre_isotope is not None:
         named += [(f"d{i+1}", m) for i, m in enumerate(spec.pre_isotope)]
     prod = alg.field.one()
+    found = []
     for name, m in named:
-        a = verify_similarity(alg.norm, m)
+        a = verify_similarity(alg.norm, m, found)
+        routes[name] = found[-1]
         if a is None:
-            return CriterionReport(INAPPLICABLE, factors=factors,
+            return CriterionReport(INAPPLICABLE, factors=factors, routes=routes,
                                    reason=f"{name} is not a verified similarity")
         factors[name] = a
         prod = prod * a
-    base = CriterionReport("", threshold=prod.inverse(), factors=factors)
+    base = CriterionReport("", threshold=prod.inverse(), factors=factors, routes=routes)
     return base.at(alg.norm, [alg.field.element(v) for v in spec.c])
 
 
@@ -265,25 +278,31 @@ def division_exhaustive(alg: Algebra):
     ("certified", None) or ("zero-divisor", (x, y)) with the
     lexicographically first witness of the full pair scan.
 
-    The scan runs on int-coded F_p matrices (an algebra over F_{p^k} is read
-    in F_p coordinates).  It takes one determinant per F_p line, on the
-    first x of the line, so the first singular x is the first one in the
-    canonical order; y is the kernel vector of L_x with the smallest index.
-    The caps are those of the full pair scan."""
+    The scan runs on the int-coded F_p matrices of left_mul_lines (an
+    algebra over F_{p^k} is read in F_p coordinates); see _line_scan.  The
+    caps are those of the full pair scan."""
     q = alg.field.order()
     if q is None:
         raise DimensionError("exhaustive division check needs a finite field")
     total = q**alg.dim
     if total > EXHAUSTIVE_CAP:
         raise CapExceeded(f"|A| = {total} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
-    p = alg.field.characteristic
-    for xi, lx in left_mul_lines(alg):
+    return _line_scan(alg.field, alg.dim, left_mul_lines(alg))
+
+
+def _line_scan(field, dim, lines):
+    """division_exhaustive on the (index, int L_x) of left_mul_lines.
+
+    It takes one determinant per F_p line, on the first x of the line, so
+    the first singular x is the first one in the canonical order; y is the
+    kernel vector of L_x with the smallest index."""
+    p = field.characteristic
+    for xi, lx in lines:
         if det_mod_p(lx, p):
             continue
         y = first_kernel_vector_mod_p(lx, p)
         yi = sum(c * p**j for j, c in enumerate(y))
-        return ("zero-divisor", (vector_at(alg.field, alg.dim, xi),
-                                 vector_at(alg.field, alg.dim, yi)))
+        return ("zero-divisor", (vector_at(field, dim, xi), vector_at(field, dim, yi)))
     return ("certified", None)
 
 
@@ -382,23 +401,40 @@ def scan_c(alg: Algebra, variant: int, f: Matrix, g: Matrix, seed=0,
     """Run the twist and the exhaustive division check for every c in A
     (including 0), with the norm-criterion verdict per c.
 
-    The criterion is computed once, at the first c (after that c's twist
-    and division check, so errors come in that order), and every further c
-    costs one N(c) through CriterionReport.at."""
-    q = alg.field.order()
+    The twisted tensor is affine in c, and so are its F_p matrices: with
+    E_j the F_p basis vectors (the c of index p^j) and d_j the base-p digits
+    of c's index, mats(c) = mats(0) + sum_j d_j (mats(E_j) - mats(0)) mod p.
+    So twist() runs N + 1 times (N = dim * [F:F_p]), c = 0 first, and the
+    odometer of left_mul_lines steps mats(c) through c in canonical order.
+    The criterion is computed once, at the first c (after that c's division
+    check, so errors come in that order), and every further c costs one
+    N(c) through CriterionReport.at."""
+    field, dim = alg.field, alg.dim
+    q = field.order()
     if q is None:
         raise DimensionError("scan_c needs a finite field")
-    total = q**alg.dim
+    total = q**dim
     if total > SCAN_CAP:
         raise CapExceeded(f"|A| = {total} exceeds scan cap {SCAN_CAP}")
+
+    def stacked(ci):
+        """The F_p matrices of the twist at the c of index ci, stacked."""
+        spec = TwistSpec(variant=variant, c=vector_at(field, dim, ci), f=f, g=g)
+        return [row for mat in _prime_left_mul_mats(twist(alg, spec))[1] for row in mat]
+
+    p = field.characteristic
+    base = stacked(0)
+    big = len(base[0])
+    steps = [[[(a - b) % p for a, b in zip(r, r0)] for r, r0 in zip(stacked(p**j), base)]
+             for j in range(big)]
     records = []
     crit = None
-    for ci in range(total):
-        c = vector_at(alg.field, alg.dim, ci)
-        spec = TwistSpec(variant=variant, c=c, f=f, g=g)
-        circ = twist(alg, spec)
-        status, witness = division_exhaustive(circ)
-        crit = norm_criterion(alg, spec) if crit is None else crit.at(alg.norm, c)
+    for ci, rows in enumerate(_odometer(base, steps, p)):
+        c = vector_at(field, dim, ci)
+        mats = [rows[j * big:(j + 1) * big] for j in range(big)]
+        status, witness = _line_scan(field, dim, _mat_lines(p, mats))
+        crit = (norm_criterion(alg, TwistSpec(variant=variant, c=c, f=f, g=g))
+                if crit is None else crit.at(alg.norm, c))
         nc = crit.norm_of_c
         if nc is None and alg.norm is not None:
             nc = alg.norm.evaluate(c)

@@ -1,13 +1,14 @@
 """The analyzer as it was before it read bracket coordinates at the free
 entries and took every nucleus from one associator tensor: coordinates by a
 full elimination per bracket (`in_span`), the empty-system basis built by
-hand, and one associator pass per nucleus slot.  Kept as the reference that
-tests compare the fast paths with, entry by entry."""
+hand, and one associator pass per nucleus slot; and `is_isomorphism` on
+Scalar vectors, before it ran on the raw tensor.  Kept as the reference
+that tests compare the fast paths with, entry by entry."""
 
 from twistkit.algebra import associator, commutator
 from twistkit.analyzer import DerivationSpace, _cap_check, _dedupe_rows, _leibniz_rows
 from twistkit.errors import DimensionError
-from twistkit.linalg import Matrix, in_span
+from twistkit.linalg import Matrix, in_span, vec_eq
 
 SIDES = ("left", "middle", "right", "all", "center")
 
@@ -110,3 +111,17 @@ def nucleus(alg, side="all"):
             for comp in range(n):
                 rows.append([cols[i][comp] for i in range(n)])
     return Matrix(alg.field, rows).nullspace()
+
+
+def is_isomorphism(src, dst, m):
+    """(ok, witness): invertible and m(x .src. y) = m(x) .dst. m(y)."""
+    if src.dim != dst.dim or src.field != dst.field:
+        raise DimensionError("isomorphism candidates need equal ambient spaces")
+    if not m.is_invertible():
+        return False, "singular"
+    cols = m.columns()
+    for i in range(src.dim):
+        for j in range(src.dim):
+            if not vec_eq(m.apply(src.table[i][j]), dst.multiply(cols[i], cols[j])):
+                return False, (i, j)
+    return True, None
